@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import tables
 from .errors import AnomalyError, BudgetError, ParseError, ValidationError
 from .forms import parse_form
-from .fptengine import fpt_binary_exact, fpt_general
+from .fptengine import fpt_general
 from .genericfpt import generic_fpt
 from .gfpoly import FieldSpec
 from .strata import candidates, census, trinomial_witness_search
@@ -52,10 +52,7 @@ def _parse_fraction(text: str) -> Fraction:
 def cmd_fpt(args) -> int:
     field = FieldSpec(args.p, args.k)
     f = parse_form(args.poly, field, n=args.n)
-    if f.n == 2:
-        res = fpt_binary_exact(f, e_cap=args.e_cap)
-    else:
-        res = fpt_general(f, e_cap=min(args.e_cap, 4))
+    res = fpt_general(f, e_cap=args.e_cap if f.n == 2 else min(args.e_cap, 4))
     _emit(args, res.to_dict(), res.describe())
     return EXIT_OK
 

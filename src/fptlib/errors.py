@@ -14,13 +14,11 @@ class ParseError(ValidationError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed the configured budget; required size attached."""
+    """A computation would exceed its size budget; the size it needs (or has
+    reached when it stopped) and the budget are attached."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"enumeration needs {required} forms but budget is {budget}; "
-            f"rerun with budget >= {required}"
-        )
+    def __init__(self, message: str, required: int, budget: int):
+        super().__init__(message)
         self.required = required
         self.budget = budget
 

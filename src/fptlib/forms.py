@@ -1,22 +1,26 @@
 """Sparse homogeneous forms and residues modulo Frobenius powers.
 
 The central computation is the residue of f^N modulo the monomial ideal
-(x_1^{p^e}, ..., x_n^{p^e}).  It is organized around the base-p digits of N:
-writing N = sum c_t p^t, the residue is accumulated Horner-style from the
-most significant digit down,
+(x_1^{p^e}, ..., x_n^{p^e}).  One engine, the digit ladder, does it in every
+arity: writing N = sum c_t p^t, the residue is built from the most
+significant digit down, one depth per digit,
 
-    acc_t  =  (acc_{t+1})^p * f^{c_t}   truncated at p^{e-t},
+    acc_{D+1}  =  (acc_D)^p * f^{c}   truncated at p^{D+1},
 
 where raising to the p-th power multiplies exponent vectors by p and applies
 Frobenius to coefficients.  Truncation at every level is exact: a monomial
 with a component >= the level bound can only ever produce discarded
-monomials later.  For the membership tests driving the exact threshold
-engine the surviving windows stay tiny at every level, which is what makes
-exhaustive censuses affordable.
+monomials later.  Each step continues from the previous depth, so the
+threshold engine walks the truncations N_{L+1} = p N_L + c_L of 2/d on one
+ladder state.
 
-Two engines share this scheme: a generic n-variable one on exponent-tuple
-dicts (also handling one-parameter coefficient polynomials), and a faster
-two-variable kernel on integer exponents used by censuses.
+Residues are dicts from packed exponents to coefficients: (a_1, ..., a_n)
+packs into sum a_i << s*i, with s bits per variable and a guard bit
+G = 2^(s-1) at least both the deepest bound p^e and deg f, so that no field
+carries into the next.  A product w leaves the window (some a_i >= bound)
+exactly when (w + sum (G - bound) << s*i) & sum G << s*i is nonzero, and
+Frobenius on exponents is w * p.  Coefficients are field encodings
+(FieldSpec.muli/addi/frobi), or UPoly for a form with one symbolic parameter.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .errors import ParseError, ValidationError
+from .errors import BudgetError, ParseError, ValidationError
 from .gfpoly import FieldSpec, GFElem, UPoly
+
+_WINDOW_BUDGET = 1 << 18    # most terms in a residue; x^3*y^2+x*y^4 over F_13 needs 185,649 at e=6
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +46,7 @@ class HomForm:
     UPoly in one symbolic parameter in parametric mode.
     """
 
-    __slots__ = ("n", "d", "field", "terms", "parametric", "_key")
+    __slots__ = ("n", "d", "field", "terms", "parametric", "_key", "_squarefree")
 
     def __init__(self, field: FieldSpec, n: int, d: int, terms: dict, parametric: bool = False):
         if n < 1:
@@ -72,6 +78,7 @@ class HomForm:
         self.terms = clean
         self.parametric = parametric
         self._key = None
+        self._squarefree = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -219,118 +226,155 @@ class FrobTruncPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exps):
-        exps = tuple(exps)
-        if exps in self.terms:
-            return self.terms[exps]
-        return UPoly.zero(self.field) if self.parametric else self.field.zero()
+    coeff = HomForm.coeff
 
 
 # ---------------------------------------------------------------------------
-# generic n-variable engine (dict of exponent tuples)
+# the residue kernel: packed exponents, one sparse product, one digit ladder
 # ---------------------------------------------------------------------------
 
-def _ops(field: FieldSpec, parametric: bool):
-    """(mul, frob) callables on stored coefficient objects."""
-    if parametric:
-        def mul(a: UPoly, b: UPoly) -> UPoly:
-            return a * b
-
-        def frob(a: UPoly) -> UPoly:
-            # (sum u_s a^s)^p = sum u_s^p a^(s*p)
-            out = [0] * (len(a.coeffs) * field.p)
-            for s, c in enumerate(a.coeffs):
-                out[s * field.p] = field.frobi(c)
-            return UPoly(field, out)
-
-        return mul, frob
-
-    def mulc(a: GFElem, b: GFElem) -> GFElem:
-        return a * b
-
-    def frobc(a: GFElem) -> GFElem:
-        return a.frobenius()
-
-    return mulc, frobc
+def _pack(exps, s: int) -> int:
+    return sum(a << s * i for i, a in enumerate(exps))
 
 
-def _dict_mul_trunc(A: dict, B: dict, bound: int | None, field, parametric) -> dict:
-    mul, _ = _ops(field, parametric)
-    add = (lambda a, b: a + b)
+def _unpack(w: int, n: int, s: int) -> tuple:
+    low = (1 << s) - 1
+    return tuple((w >> s * i) & low for i in range(n))
+
+
+def _mul(A: dict, B: dict, add: int, mask: int, mul, plus) -> dict:
+    """A*B without the terms whose packed exponent w has (w + add) & mask.
+
+    Coefficients are nonzero on input, so a first product never vanishes.
+    Raises BudgetError once the product holds more than _WINDOW_BUDGET terms.
+    """
     out: dict = {}
-    for e1, c1 in A.items():
-        for e2, c2 in B.items():
-            w = tuple(a + b for a, b in zip(e1, e2))
-            if bound is not None and any(a >= bound for a in w):
+    get = out.get
+    for w1, c1 in A.items():
+        for w2, c2 in B.items():
+            w = w1 + w2
+            if (w + add) & mask:
                 continue
-            prod = mul(c1, c2)
-            cur = out.get(w)
-            out[w] = prod if cur is None else add(cur, prod)
-    if parametric:
-        return {e: c for e, c in out.items() if not c.is_zero()}
-    return {e: c for e, c in out.items() if c}
+            cur = get(w)
+            if cur is None:
+                out[w] = mul(c1, c2)
+            else:
+                s = plus(cur, mul(c1, c2))
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+        if len(out) > _WINDOW_BUDGET:
+            raise BudgetError(f"a residue exceeds the budget of {_WINDOW_BUDGET} terms; "
+                              "ask for a shallower depth", len(out), _WINDOW_BUDGET)
+    return out
 
 
-def _dict_pow_trunc(base: dict, c: int, bound: int | None, field, n, parametric) -> dict:
-    one = UPoly.one(field) if parametric else field.one()
-    out = {(0,) * n: one}
-    if c == 0:
-        return out
-    if bound is not None:
-        base = {e: v for e, v in base.items() if all(a < bound for a in e)}
-    cur = base
-    while True:
-        if c & 1:
-            out = _dict_mul_trunc(out, cur, bound, field, parametric)
-            if not out:
-                return {}
-        c >>= 1
-        if not c:
-            return out
-        cur = _dict_mul_trunc(cur, cur, bound, field, parametric)
-        if not cur:
-            # a set bit remains, so the final product picks up a zero factor
-            return {}
+class ResidueLadder:
+    """The residue of f^N modulo (x_1^{p^depth}, ..., x_n^{p^depth}), advanced
+    one base-p digit at a time: ``rise(c)`` takes N to p*N + c and depth to
+    depth + 1.  It starts at N = 0.
+
+    ``guard`` is the least guard bit G the packing needs: at least p^depth
+    for every depth the ladder reaches, and at least deg f.  With
+    ``bounded=False`` nothing is truncated and G must exceed deg f^N.
+    """
+
+    def __init__(self, f: HomForm, depth: int, guard: int, bounded: bool = True):
+        F = f.field
+        self.field, self.n, self.p, self.depth = F, f.n, F.p, depth
+        self.parametric = f.parametric
+        self.s = s = (guard - 1).bit_length() + 1
+        self.ones = sum(1 << s * i for i in range(f.n))
+        self.mask = (1 << s - 1) * self.ones if bounded else 0
+        if f.parametric:
+            self.mul, self.plus = UPoly.__mul__, UPoly.__add__
+            self.frob = self._frob_upoly
+            self.f = {_pack(e, s): c for e, c in f.terms.items()}
+            self.terms = {0: UPoly.one(F)}
+        else:
+            self.mul, self.plus = F.muli, F.addi
+            self.frob = F.frobi if F.k > 1 else None
+            self.f = {_pack(e, s): c.enc for e, c in f.terms.items()}
+            self.terms = {0: 1}
+
+    def _frob_upoly(self, a: UPoly) -> UPoly:
+        # (sum u_s a^s)^p = sum u_s^p a^(s*p)
+        p, F = self.p, self.field
+        out = [0] * (len(a.coeffs) * p)
+        for s, c in enumerate(a.coeffs):
+            out[s * p] = F.frobi(c)
+        return UPoly(F, out)
+
+    def times_f(self, c: int) -> None:
+        """Multiply the residue by f^c (by squaring) at the current depth."""
+        if not c or not self.terms:
+            return
+        mask, mul, plus = self.mask, self.mul, self.plus
+        add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if mask else 0
+        square = {w: v for w, v in self.f.items() if not (w + add) & mask}
+        piece = None
+        while True:
+            if c & 1:
+                piece = square if piece is None else _mul(piece, square, add, mask, mul, plus)
+            c >>= 1
+            if not c:
+                break
+            square = _mul(square, square, add, mask, mul, plus)
+        self.terms = _mul(self.terms, piece, add, mask, mul, plus)
+
+    def rise(self, c: int) -> None:
+        """One ladder step: raise to the p-th power, then multiply by f^c."""
+        p, frob = self.p, self.frob
+        if frob is None:
+            self.terms = {w * p: v for w, v in self.terms.items()}
+        else:
+            self.terms = {w * p: frob(v) for w, v in self.terms.items()}
+        self.depth += 1
+        self.times_f(c)
+
+    def climb(self, N: int) -> "ResidueLadder":
+        """Rise along the base-p digits of N, most significant first."""
+        if N:
+            self.climb(N // self.p).rise(N % self.p)
+        return self
+
+    def residue(self) -> dict:
+        """The residue keyed by exponent tuples, with GFElem or UPoly values."""
+        n, s, F = self.n, self.s, self.field
+        if self.parametric:
+            return {_unpack(w, n, s): v for w, v in self.terms.items()}
+        return {_unpack(w, n, s): GFElem(F, v) for w, v in self.terms.items()}
 
 
-def pow_mod_frobenius(f: HomForm, N: int, e: int) -> FrobTruncPoly:
-    """Residue of f^N modulo (x_1^{p^e}, ..., x_n^{p^e})."""
+def _power_ladder(f: HomForm, N: int, e: int) -> ResidueLadder:
+    """The ladder holding f^N modulo (x_1^{p^e}, ..., x_n^{p^e})."""
     if N < 0:
         raise ValidationError("exponent must be non-negative")
     if e < 1:
         raise ValidationError("Frobenius depth e must be >= 1")
-    F, n, p = f.field, f.n, f.field.p
-    one = UPoly.one(F) if f.parametric else F.one()
-    if N == 0:
-        return FrobTruncPoly(F, n, e, {(0,) * n: one}, f.parametric)
-    digs = []
-    m = N
-    while m:
-        digs.append(m % p)
-        m //= p
-    T = len(digs) - 1
-    if T >= e:
-        # the piece at place T is killed entirely: every monomial of
-        # (f^{c_T})^{p^T} has a component >= p^T >= p^e
-        return FrobTruncPoly(F, n, e, {}, f.parametric)
-    mul, frob = _ops(F, f.parametric)
-    acc = _dict_pow_trunc(f.terms, digs[T], p ** (e - T), F, n, f.parametric)
-    for t in range(T - 1, -1, -1):
-        bound = p ** (e - t)
-        if not acc:
-            break
-        acc = {tuple(a * p for a in exps): frob(c) for exps, c in acc.items()}
-        if digs[t]:
-            piece = _dict_pow_trunc(f.terms, digs[t], bound, F, n, f.parametric)
-            acc = _dict_mul_trunc(acc, piece, bound, F, f.parametric)
-    return FrobTruncPoly(F, n, e, acc, f.parametric)
+    p = f.field.p
+    places = 0
+    while p ** places <= N:
+        places += 1
+    lad = ResidueLadder(f, e - places, max(p ** e, f.d))
+    if places > e:
+        # the leading digit's piece is killed entirely: every monomial of
+        # (f^c)^{p^t} with t >= e has a component >= p^e
+        lad.terms = {}
+        return lad
+    return lad.climb(N)
+
+
+def pow_mod_frobenius(f: HomForm, N: int, e: int) -> FrobTruncPoly:
+    """Residue of f^N modulo (x_1^{p^e}, ..., x_n^{p^e})."""
+    lad = _power_ladder(f, N, e)
+    return FrobTruncPoly(f.field, f.n, e, lad.residue(), f.parametric)
 
 
 def in_frobenius_power(f: HomForm, N: int, e: int) -> bool:
     """Is f^N in the Frobenius power (x_1^{p^e}, ..., x_n^{p^e})?"""
-    if f.n == 2 and not f.parametric:
-        return _member2(f.field, f.coeff_list(), f.d, N, e)
-    return pow_mod_frobenius(f, N, e).is_zero
+    return not _power_ladder(f, N, e).terms
 
 
 def coeff_of_power(f: HomForm, N: int, j: int):
@@ -339,105 +383,11 @@ def coeff_of_power(f: HomForm, N: int, j: int):
         raise ValidationError("coeff_of_power requires a binary form")
     if N < 0 or not 0 <= j <= f.d * N:
         raise ValidationError(f"index j={j} out of range [0, {f.d * N}]")
-    if N == 0:
-        one = UPoly.one(f.field) if f.parametric else f.field.one()
-        zero = UPoly.zero(f.field) if f.parametric else f.field.zero()
-        return one if j == 0 else zero
-    full = _dict_pow_trunc(f.terms, N, None, f.field, 2, f.parametric)
-    exps = (f.d * N - j, j)
-    if exps in full:
-        return full[exps]
-    return UPoly.zero(f.field) if f.parametric else f.field.zero()
-
-
-# ---------------------------------------------------------------------------
-# fast two-variable kernel (x-exponent ints, coefficient encodings)
-# ---------------------------------------------------------------------------
-
-def _mul2(A: dict, DA: int, B: dict, DB: int, bound: int, field: FieldSpec) -> dict:
-    """Product of binary residues keyed by x-exponent, truncated at ``bound``."""
-    D = DA + DB
-    hi = bound - 1
-    lo = D - hi
-    muli, addi = field.muli, field.addi
-    out: dict = {}
-    for a1, c1 in A.items():
-        for a2, c2 in B.items():
-            al = a1 + a2
-            if al > hi or al < lo:
-                continue
-            prod = muli(c1, c2)
-            cur = out.get(al)
-            if cur is None:
-                if prod:
-                    out[al] = prod
-            else:
-                s = addi(cur, prod)
-                if s:
-                    out[al] = s
-                else:
-                    del out[al]
-    return out
-
-
-def _pow2(base: dict, d: int, c: int, bound: int, field: FieldSpec) -> tuple[dict, int]:
-    """(f^c truncated, degree of f^c) for a binary form given as {x_exp: enc}."""
-    hi = bound - 1
-    cur = {a: v for a, v in base.items() if a <= hi and d - a <= hi}
-    Dc = d
-    out: dict = {0: 1}
-    Do = 0
-    Dfinal = d * c
-    while True:
-        if c & 1:
-            out = _mul2(out, Do, cur, Dc, bound, field)
-            Do += Dc
-            if not out:
-                return {}, Dfinal
-        c >>= 1
-        if not c:
-            return out, Dfinal
-        cur = _mul2(cur, Dc, cur, Dc, bound, field)
-        Dc *= 2
-        if not cur:
-            return {}, Dfinal
-
-
-def _member2(field: FieldSpec, coeffs: list[int], d: int, N: int, e: int) -> bool:
-    """f^N in (x^{p^e}, y^{p^e})?  coeffs[i] encodes the x^(d-i) y^i term."""
-    if N == 0:
-        return False
-    p = field.p
-    digs = []
-    m = N
-    while m:
-        digs.append(m % p)
-        m //= p
-    T = len(digs) - 1
-    if T >= e:
-        return True
-    fdict = {d - i: c for i, c in enumerate(coeffs) if c}
-    acc, Dacc = _pow2(fdict, d, digs[T], p ** (e - T), field)
-    if not acc:
-        return True
-    frobi = field.frobi
-    k1 = field.k == 1
-    for t in range(T - 1, -1, -1):
-        bound = p ** (e - t)
-        if k1:
-            acc = {a * p: c for a, c in acc.items()}
-        else:
-            acc = {a * p: frobi(c) for a, c in acc.items()}
-        Dacc *= p
-        if digs[t]:
-            piece, Dp = _pow2(fdict, d, digs[t], bound, field)
-            if not piece:
-                return True
-            acc = _mul2(acc, Dacc, piece, Dp, bound, field)
-            Dacc += Dp
-            if not acc:
-                return True
-    return False
+    lad = ResidueLadder(f, 0, f.d * N + 1, bounded=False).climb(N)
+    c = lad.terms.get(_pack((f.d * N - j, j), lad.s))
+    if f.parametric:
+        return c or UPoly.zero(f.field)
+    return GFElem(f.field, c or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +416,10 @@ def is_squarefree_binary(f: HomForm) -> bool:
         raise ValidationError("squarefree test requires a binary form")
     if f.parametric:
         raise ValidationError("squarefree test requires a concrete form")
-    alpha, beta, h = _split_xy(f)
-    if alpha > 1 or beta > 1:
-        return False
-    if h.degree == 0:
-        return True
-    return h.is_squarefree()
+    if f._squarefree is None:
+        alpha, beta, h = _split_xy(f)
+        f._squarefree = alpha <= 1 and beta <= 1 and (h.degree == 0 or h.is_squarefree())
+    return f._squarefree
 
 
 def _upoly_mth_root(h: UPoly, m: int) -> UPoly | None:
@@ -573,20 +521,8 @@ def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
 
 
 def _form_pow(f: HomForm, r: int) -> HomForm:
-    out = None
-    cur = f
-    while r:
-        if r & 1:
-            out = cur if out is None else _form_mul(out, cur)
-        r >>= 1
-        if r:
-            cur = _form_mul(cur, cur)
-    return out
-
-
-def _form_mul(a: HomForm, b: HomForm) -> HomForm:
-    terms = _dict_mul_trunc(a.terms, b.terms, None, a.field, False)
-    return HomForm(a.field, a.n, a.d + b.d, terms)
+    lad = ResidueLadder(f, 0, f.d * r + 1, bounded=False).climb(r)
+    return HomForm(f.field, f.n, f.d * r, lad.residue())
 
 
 def _mth_root_form(h: HomForm, m: int) -> HomForm | None:
@@ -694,25 +630,21 @@ def substitute_linear(f: HomForm, T) -> HomForm:
     rows = [[F.elem(T[i][j]).enc for j in range(n)] for i in range(n)]
     if _det(F, rows) == 0:
         raise ValidationError("substitution matrix is singular")
-    # linear forms as term dicts
-    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    linear = []
-    for i in range(n):
-        lin = {unit[j]: GFElem(F, rows[i][j]) for j in range(n) if rows[i][j]}
-        linear.append(lin)
+    s = f.d.bit_length() + 1
+    linear = [{1 << s * j: rows[i][j] for j in range(n) if rows[i][j]} for i in range(n)]
     out: dict = {}
     for exps, c in f.terms.items():
-        term = {(0,) * n: c}
+        term = {0: c.enc}
         for i, a in enumerate(exps):
             for _ in range(a):
-                term = _dict_mul_trunc(term, linear[i], None, F, False)
+                term = _mul(term, linear[i], 0, 0, F.muli, F.addi)
         for w, v in term.items():
-            cur = out.get(w)
-            s = v if cur is None else cur + v
-            if s:
-                out[w] = s
-            elif cur is not None:
+            v = F.addi(out.get(w, 0), v)
+            if v:
+                out[w] = v
+            else:
                 del out[w]
+    out = {_unpack(w, n, s): GFElem(F, c) for w, c in out.items()}
     return HomForm(F, n, f.d, out)
 
 

@@ -9,9 +9,9 @@ For binary forms a complete exact algorithm exists: the threshold of a
 squarefree form of degree d is either 2/d or a truncation of the base-p
 expansion of 2/d, so testing the truncation numerators from the shallowest
 depth up pins it down; passing at depth L while failing at L-1 leaves
-exactly one admissible value.  Monomials and perfect powers reduce by
-explicit rules in any number of variables; everything else falls back to a
-certified interval of width p^-e_cap.
+exactly one admissible value.  Monomials, linear forms and perfect powers
+reduce by explicit rules in any number of variables; everything else falls
+back to a certified interval of width p^-e_cap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AnomalyError, ValidationError
-from .forms import HomForm, in_frobenius_power, is_squarefree_binary, perfect_power_decompose
+from .forms import (HomForm, ResidueLadder, in_frobenius_power, is_squarefree_binary,
+                    perfect_power_decompose)
 from .ratbase import mult_order, trunc
 
 
@@ -90,8 +91,6 @@ class FptResult:
 def _check_form(f: HomForm) -> None:
     if f.parametric:
         raise ValidationError("threshold computations need a concrete form")
-    if f.d < 1:
-        raise ValidationError("constants have no F-pure threshold here")
 
 
 def nu(f: HomForm, e: int, certs: list | None = None) -> int:
@@ -137,66 +136,68 @@ def fpt_monomial(exps) -> Fraction:
 
 def _is_prime_power_degree(d: int, p: int) -> bool:
     """d = p^t (t >= 1) or d = 2*p^t (t >= 0)."""
-    for base in (1, 2):
-        m = d
-        if m % base:
-            continue
-        m //= base
-        if base == 1 and m == 1:
-            continue  # d = 1 is handled elsewhere
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            return True
-    return False
+    m = d
+    while m % p == 0:
+        m //= p
+    return m == 2 or (m == 1 and d > 1)
 
 
-def _interval_result(f: HomForm, e_cap: int, certs: list) -> FptResult:
+def _interval_result(f: HomForm, e_cap: int) -> FptResult:
+    certs: list[MembershipCheck] = []
     lo, hi = fpt_bounds(f, e_cap, certs)
     return FptResult("interval", "bounded-fallback", low=lo, high=hi,
                      certificates=tuple(certs))
 
 
 def fpt_binary_exact(f: HomForm, e_cap: int = 8) -> FptResult:
-    """Exact threshold of a binary form wherever the classification reaches.
-
-    Dispatch: monomials and linear forms by the explicit rule; perfect powers
-    by fpt(g^r) = fpt(g)/r; squarefree forms of degree p^t or 2p^t get 2/d;
-    other squarefree forms with p coprime to the reduced denominator b of 2/d
-    are resolved by testing the truncation numerators N_L for L = 1..ord_b(p)
-    (smallest passing depth wins, no pass means 2/d); the rest fall back to a
-    certified interval at depth ``e_cap``.
-    """
-    _check_form(f)
+    """The threshold of a binary form (see fpt_general)."""
     if f.n != 2:
         raise ValidationError("fpt_binary_exact needs a binary form")
-    p = f.field.p
-    d = f.d
+    return fpt_general(f, e_cap)
+
+
+def fpt_general(f: HomForm, e_cap: int = 3) -> FptResult:
+    """Threshold in any number of variables, exact wherever the rules reach.
+
+    Dispatch: monomials and linear forms by the explicit rule; perfect powers
+    by fpt(g^r) = fpt(g)/r; squarefree binary forms of degree p^t or 2p^t
+    get 2/d; other squarefree binary forms with p coprime to the reduced
+    denominator b of 2/d are resolved by testing the truncation numerators
+    N_L for L = 1..ord_b(p) (smallest passing depth wins, no pass means 2/d);
+    the rest fall back to a certified interval at depth ``e_cap``.
+    """
+    _check_form(f)
     if f.is_monomial():
         exps = next(iter(f.terms))
         return FptResult("exact", "monomial", value=fpt_monomial(exps))
-    if d == 1:
+    if f.d == 1:
         # a linear form becomes a coordinate after a change of variables
         return FptResult("exact", "monomial", value=Fraction(1))
-    fm = f.monic()
-    g, r = perfect_power_decompose(fm)
-    if r > 1:
-        return fpt_binary_exact(g, e_cap).scaled(r)
-    certs: list[MembershipCheck] = []
-    if not is_squarefree_binary(fm):
-        return _interval_result(fm, e_cap, certs)
+    # a squarefree form of degree >= 2 is never a proper power
+    if f.n != 2 or not is_squarefree_binary(f):
+        g, r = perfect_power_decompose(f.monic())
+        if r > 1:
+            return fpt_general(g, e_cap).scaled(r)
+        return _interval_result(f, e_cap)
+    p, d = f.field.p, f.d
     if _is_prime_power_degree(d, p):
         return FptResult("exact", "prime-power-degree", value=Fraction(2, d))
     lam = Fraction(2, d)
     b = lam.denominator
     if b % p == 0:
-        return _interval_result(fm, e_cap, certs)
+        return _interval_result(f, e_cap)
+    # one ladder state walks the truncations: N_L = p N_{L-1} + c_L, and the
+    # residue at depth L continues from the one at depth L-1
     estar = mult_order(p, b)
+    ladder = ResidueLadder(f, 0, max(p ** estar, d))
+    certs: list[MembershipCheck] = []
+    NL = 0
     for L in range(1, estar + 1):
-        NL = trunc(lam, p, L).numer
+        prev, NL = NL, trunc(lam, p, L).numer
+        ladder.rise(NL - p * prev)
         if NL == 0:
             continue
-        member = in_frobenius_power(fm, NL, L)
+        member = not ladder.terms
         certs.append(MembershipCheck(NL, L, member))
         if member:
             # fails at L-1 (or the bracket is vacuous), so the only admissible
@@ -207,32 +208,14 @@ def fpt_binary_exact(f: HomForm, e_cap: int = 8) -> FptResult:
                              certificates=tuple(certs))
     # no truncation passed: the classification leaves only 2/d; sanity-check
     # the membership that value implies before asserting it
-    Ns = trunc(lam, p, estar).numer + 1
-    member = in_frobenius_power(fm, Ns, estar)
-    certs.append(MembershipCheck(Ns, estar, member))
+    ladder.times_f(1)
+    member = not ladder.terms
+    certs.append(MembershipCheck(NL + 1, estar, member))
     if not member:
         raise AnomalyError(
-            f"form {fm.as_text()} over F_{f.field.q}: every truncation test up to "
-            f"L={estar} failed yet f^{Ns} is outside depth {estar}; certificates "
+            f"form {f.as_text()} over F_{f.field.q}: every truncation test up to "
+            f"L={estar} failed yet f^{NL + 1} is outside depth {estar}; certificates "
             f"{[c.to_dict() for c in certs]}"
         )
     return FptResult("exact", "generic-two-over-d", value=lam,
                      certificates=tuple(certs))
-
-
-def fpt_general(f: HomForm, e_cap: int = 3) -> FptResult:
-    """Threshold for any number of variables: exact for monomials, perfect
-    powers of exactly-resolvable bases, and binary forms; otherwise a
-    certified interval of width p^-e_cap."""
-    _check_form(f)
-    if f.is_monomial():
-        exps = next(iter(f.terms))
-        return FptResult("exact", "monomial", value=fpt_monomial(exps))
-    if f.n == 2:
-        return fpt_binary_exact(f, e_cap=max(e_cap, 1))
-    fm = f.monic()
-    g, r = perfect_power_decompose(fm)
-    if r > 1:
-        return fpt_general(g, e_cap).scaled(r)
-    certs: list[MembershipCheck] = []
-    return _interval_result(fm, e_cap, certs)

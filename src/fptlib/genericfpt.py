@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .fptengine import fpt_binary_exact, fpt_general
+from .fptengine import fpt_general
 from .forms import random_form
 from .gfpoly import FieldSpec
 from .ratbase import min_e_two_p_pow, require_prime, trunc
@@ -138,7 +138,7 @@ def sample_max_fpt(n: int, d: int, p: int, k: int, trials: int,
     count = 0
     for _ in range(trials):
         f = random_form(K, n, d, rng)
-        res = fpt_binary_exact(f, e_cap=e_cap) if n == 2 else fpt_general(f, e_cap)
+        res = fpt_general(f, e_cap)
         if not res.is_exact:
             continue
         v = res.value

@@ -3,8 +3,10 @@
 Fields are constructed with a deterministic modulus (the lexicographically
 smallest monic irreducible of degree k, by descending-degree coefficient
 tuple), so witness reports are reproducible across runs and machines.
-Elements are stored as integer encodings sum(c_i * p^i); small fields cache
-a multiplication table, larger ones reduce on the fly.
+Elements are stored as integer encodings sum(c_i * p^i).  Fields with at
+most _TABLE_MAX_Q elements multiply through a q x q table, built on first
+use and shared by every FieldSpec of the same (p, k, modulus); larger ones
+reduce on the fly.
 
 UPoly provides exactly the univariate machinery the rest of the package
 needs: gcd, derivative, squarefree test, in-field root extraction, and
@@ -19,8 +21,9 @@ from fractions import Fraction
 from .errors import ValidationError
 from .ratbase import require_prime
 
-_TABLE_MAX_Q = 512          # build full add/mul tables up to this field size
+_TABLE_MAX_Q = 512          # build a multiplication table up to this field size
 _ROOT_BRUTE_MAX_Q = 1_000_000  # exhaustive root search cutoff
+_MUL_TABLES: dict = {}      # (p, k, modulus) -> multiplication table
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +235,10 @@ class FieldSpec:
             return a * b % self.p
         tab = self._mul_table
         if tab is None and self.q <= _TABLE_MAX_Q:
-            tab = [[self._mul_raw(x, y) for y in range(self.q)] for x in range(self.q)]
-            self._mul_table = tab
+            key, q = (self.p, self.k, self.modulus), self.q
+            if key not in _MUL_TABLES:
+                _MUL_TABLES[key] = [[self._mul_raw(x, y) for y in range(q)] for x in range(q)]
+            tab = self._mul_table = _MUL_TABLES[key]
         if tab is not None:
             return tab[a][b]
         return self._mul_raw(a, b)
@@ -472,6 +477,9 @@ class UPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def leading(self) -> int:
         if not self.coeffs:

@@ -274,7 +274,8 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
     q = K.q
     total = (q ** (d + 1) - 1) // (q - 1)
     if total > budget:
-        raise BudgetError(required=total, budget=budget)
+        raise BudgetError(f"enumeration needs {total} forms but budget is {budget}; "
+                          f"rerun with budget >= {total}", required=total, budget=budget)
     rep = candidates(d, p)
     admissible = frozenset(rep.admissible_values()) | {Fraction(2, d)}
     args = []

@@ -43,6 +43,12 @@ class TestFpt:
         assert code == 0
         assert "interval, bounded-fallback" in out
 
+    def test_residue_window_budget_exit_code(self, capsys):
+        # the default depth 8 would need residues of millions of terms
+        code, out, err = run(capsys, "fpt", "--p", "13", "--poly", "x^3*y^2+x*y^4")
+        assert code == 3 and out == ""
+        assert "budget" in err
+
 
 class TestGeneric:
     def test_values(self, capsys):

@@ -72,14 +72,31 @@ class TestPowModFrobenius:
 
     def test_matches_naive_expansion(self):
         rng = random.Random(11)
+        cases = []
         for _ in range(150):
             p = rng.choice([2, 3, 5, 7])
             k = rng.choice([1, 1, 2])
-            K = FieldSpec(p, k)
             n = rng.choice([2, 2, 3])
             d = rng.randrange(1, 7)
             N = rng.randrange(0, 31)
             e = rng.randrange(1, 3)
+            cases.append((p, k, n, d, N, e))
+        cases += [
+            # deg f >= 2 p^e: the exponents of f itself reach past the window
+            (2, 1, 2, 4, 1, 1), (2, 1, 2, 5, 3, 1), (2, 1, 3, 6, 2, 1),
+            (2, 1, 2, 9, 3, 2), (2, 2, 2, 8, 2, 2), (3, 1, 2, 7, 2, 1),
+            (3, 1, 3, 8, 1, 1), (5, 1, 2, 11, 2, 1),
+            # N = 0
+            (2, 1, 2, 3, 0, 1), (3, 2, 3, 2, 0, 2), (7, 1, 4, 2, 0, 1),
+            # N with more base-p digits than e
+            (2, 1, 2, 1, 2, 1), (2, 1, 3, 2, 4, 2), (3, 1, 2, 2, 9, 2),
+            (5, 1, 2, 3, 25, 1), (3, 2, 2, 2, 10, 2),
+            # k = 2 and n = 4
+            (2, 2, 4, 2, 5, 1), (2, 2, 4, 3, 6, 2), (3, 2, 4, 2, 4, 1),
+            (3, 2, 4, 1, 7, 2),
+        ]
+        for p, k, n, d, N, e in cases:
+            K = FieldSpec(p, k)
             f = random_sparse(K, n, d, rng)
             got = pow_mod_frobenius(f, N, e)
             want = naive_residue(f, N, e)

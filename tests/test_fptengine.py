@@ -276,6 +276,12 @@ class TestGeneral:
         if not res.is_exact:
             assert res.high - res.low == Q(1, 5 ** 3)
 
+    def test_power_of_linear_form_is_exact(self):
+        res = fpt_general(parse_form("(x1+x2+x3)^3", FieldSpec(2), n=3), e_cap=3)
+        assert res.is_exact and res.value == Q(1, 3) and res.method == "power-rule"
+        res = fpt_general(parse_form("x1+x2", FieldSpec(5), n=3))
+        assert res.is_exact and res.value == 1
+
     def test_binary_delegation(self):
         res = fpt_general(parse_form("x^5+y^5", FieldSpec(7)))
         assert res.is_exact and res.value == Q(19, 49)

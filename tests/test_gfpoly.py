@@ -62,6 +62,11 @@ class TestFieldArithmetic:
                 b = b.frobenius()
             assert b == a
 
+    def test_equal_fields_share_one_table(self):
+        A, B = FieldSpec(3, 2), FieldSpec(3, 2)
+        assert A.muli(4, 5) == B.muli(4, 5)
+        assert A._mul_table is not None and A._mul_table is B._mul_table
+
     def test_embedding_prime_subfield(self):
         K3, K9 = FieldSpec(3), FieldSpec(3, 2)
         emb = K9.embedding_from(K3)

@@ -6,6 +6,7 @@ import pytest
 from fptlib import (
     BudgetError,
     FieldSpec,
+    UPoly,
     ValidationError,
     candidates,
     census,
@@ -92,6 +93,18 @@ class TestCensus:
         assert rep.records[Q(1, 4)].count_nonreduced >= 1
         # (x y)^2-type squares resolve exactly through the power rule to 1/2
         assert rep.records[Q(1, 2)].count_nonreduced >= 1
+
+    def test_squarefree_tested_once_per_form(self, monkeypatch):
+        calls = []
+        is_squarefree = UPoly.is_squarefree
+
+        def counted(h):
+            calls.append(h)
+            return is_squarefree(h)
+
+        monkeypatch.setattr(UPoly, "is_squarefree", counted)
+        rep = census(4, 3)
+        assert 0 < len(calls) <= rep.total
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError) as exc:
