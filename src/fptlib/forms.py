@@ -21,6 +21,12 @@ carries into the next.  A product w leaves the window (some a_i >= bound)
 exactly when (w + sum (G - bound) << s*i) & sum G << s*i is nonzero, and
 Frobenius on exponents is w * p.  Coefficients are field encodings
 (FieldSpec.muli/addi/frobi), or UPoly for a form with one symbolic parameter.
+The text parser evaluates on the same packing with the same product.
+
+The squarefree test and the perfect-power check share one dehomogenization:
+x_n -> 1 and x_i -> u^{(d+1)^i} for i < n, a ring map that is injective on
+forms of degree d (for binary forms it is y -> 1), so both questions become
+questions about one univariate polynomial.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from .errors import BudgetError, ParseError, ValidationError
 from .gfpoly import FieldSpec, GFElem, UPoly
 
 _WINDOW_BUDGET = 1 << 18    # most terms in a residue; x^3*y^2+x*y^4 over F_13 needs 185,649 at e=6
+_DENSE_BUDGET = 2_000_000   # most slots in a dehomogenized form
+_PARSE_BITS = 32            # bits per variable in the parser's packing: degrees stay below 2^31
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +402,30 @@ def coeff_of_power(f: HomForm, N: int, j: int):
 # structure of binary forms
 # ---------------------------------------------------------------------------
 
-def _split_xy(f: HomForm) -> tuple[int, int, UPoly]:
-    """Write f = x^alpha y^beta * core and dehomogenize core at y=1.
+def _dehomogenize(f: HomForm) -> tuple[int, UPoly]:
+    """f at x_n = 1 and x_i = u^{(d+1)^i} for i < n, written u^v * h(u), h(0) != 0.
 
-    The returned polynomial h(u) satisfies h(0) != 0 and deg h = deg core, so
-    all multiplicity questions about core reduce to h.
+    The base-(d+1) digits of a u-exponent are the exponents of x_1..x_{n-1},
+    and x_n's is d minus their sum.  For a binary form v is the multiplicity
+    of x and d - v - deg h that of y.
     """
-    xs = [e[0] for e in f.terms]
-    ys = [e[1] for e in f.terms]
-    alpha, beta = min(xs), min(ys)
-    top = max(xs)
-    cs = [0] * (top - alpha + 1)
-    for (ax, ay), c in f.terms.items():
-        cs[ax - alpha] = c.enc
-    return alpha, beta, UPoly(f.field, cs)
+    base = f.d + 1
+    slots = base ** (f.n - 1)
+    if slots > _DENSE_BUDGET:
+        raise BudgetError(f"dehomogenizing a degree-{f.d} form in {f.n} variables needs "
+                          f"{slots} slots, over the budget of {_DENSE_BUDGET}",
+                          slots, _DENSE_BUDGET)
+    flat = {}
+    for e, c in f.terms.items():
+        w = 0
+        for a in e[-2::-1]:
+            w = w * base + a
+        flat[w] = c.enc
+    v = min(flat)
+    cs = [0] * (max(flat) - v + 1)
+    for w, c in flat.items():
+        cs[w - v] = c
+    return v, UPoly(f.field, cs)
 
 
 def is_squarefree_binary(f: HomForm) -> bool:
@@ -417,8 +435,8 @@ def is_squarefree_binary(f: HomForm) -> bool:
     if f.parametric:
         raise ValidationError("squarefree test requires a concrete form")
     if f._squarefree is None:
-        alpha, beta, h = _split_xy(f)
-        f._squarefree = alpha <= 1 and beta <= 1 and (h.degree == 0 or h.is_squarefree())
+        v, h = _dehomogenize(f)
+        f._squarefree = v <= 1 and f.d - v - h.degree <= 1 and (h.degree == 0 or h.is_squarefree())
     return f._squarefree
 
 
@@ -427,29 +445,21 @@ def _upoly_mth_root(h: UPoly, m: int) -> UPoly | None:
     F = h.field
     if h.degree % m:
         return None
-    t = h.degree // m
     c0 = _scalar_root(F, h.coeff(0), m)
     if c0 is None:
         return None
     g = [c0]
-    minv = F.invi(m % F.p) if m % F.p else None
-    if minv is None:
-        return None
-    lead_inv = F.muli(minv, F.invi(F.powi(c0, m - 1)))
-    for i in range(1, t + 1):
+    lead_inv = F.invi(F.muli(m % F.p, F.powi(c0, m - 1)))
+    for i in range(1, h.degree // m + 1):
         # coefficient of u^i in (current g)^m, missing only the m*g_i*c0^(m-1) part
-        partial = UPoly(F, g + [0])
-        pm = partial.pow(m)
-        gi = F.muli(F.subi(h.coeff(i), pm.coeff(i)), lead_inv)
-        g.append(gi)
+        pm = UPoly(F, g).pow(m)
+        g.append(F.muli(F.subi(h.coeff(i), pm.coeff(i)), lead_inv))
     cand = UPoly(F, g)
     return cand if cand.pow(m) == h else None
 
 
 def _scalar_root(field: FieldSpec, c_enc: int, r: int) -> int | None:
     """An r-th root of a nonzero field element, or None."""
-    if c_enc == 0:
-        return 0
     p, q = field.p, field.q
     while r % p == 0:
         c_enc = field.pth_rooti(c_enc)
@@ -468,18 +478,15 @@ def _scalar_root(field: FieldSpec, c_enc: int, r: int) -> int | None:
 
 
 def _divisors_desc(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    out.reverse()
-    return out
+    return [d for d in range(n, 0, -1) if n % d == 0]
 
 
 def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
     """Maximal (g, r) with g^r = f exactly (r = 1 when f is not a proper power).
 
     The p-power part is peeled off with coefficientwise p-th roots; the
-    remaining tame part is extracted by exact m-th roots (dehomogenized for
-    binary forms, through a Kronecker substitution for n >= 3) and verified
-    by re-expansion.
+    remaining tame part is extracted by exact m-th roots of its
+    dehomogenization and verified by re-expansion.
     """
     if f.parametric:
         raise ValidationError("perfect-power decomposition requires a concrete form")
@@ -526,69 +533,30 @@ def _form_pow(f: HomForm, r: int) -> HomForm:
 
 
 def _mth_root_form(h: HomForm, m: int) -> HomForm | None:
-    """Exact monic m-th root of a homogeneous form, or None."""
-    F = h.field
-    if h.n == 2:
-        alpha, beta, hu = _split_xy(h)
-        if alpha % m or beta % m:
-            return None
-        g = _upoly_mth_root(hu.monic(), m)
-        if g is None:
-            return None
-        w = _scalar_root(F, hu.leading(), m)
-        if w is None:
-            return None
-        dd = h.d // m
-        terms = {}
-        a0, b0 = alpha // m, beta // m
-        for i, c in enumerate(g.coeffs):
-            if c:
-                terms[(a0 + i, dd - a0 - i)] = GFElem(F, F.muli(c, w))
-        try:
-            cand = HomForm(F, 2, dd, terms)
-        except ValidationError:
-            return None
-        return cand if _form_pow(cand, m) == h else None
-    # Kronecker substitution: x_i -> u^{(d+1)^i} is a ring map, injective on
-    # the exponent boxes involved, so an m-th root upstairs maps to one here.
-    base = h.d + 1
-    if base ** h.n > 2_000_000:
-        raise ValidationError("perfect-power check too large for this degree/arity")
-    top = 0
-    flat: dict[int, int] = {}
-    for exps, c in h.terms.items():
-        idx = 0
-        for i, a in enumerate(exps):
-            idx += a * base ** i
-        flat[idx] = c.enc
-        top = max(top, idx)
-    cs = [0] * (top + 1)
-    for idx, enc in flat.items():
-        cs[idx] = enc
-    hu = UPoly(F, cs)
-    val = next(i for i, c in enumerate(cs) if c)  # u-multiplicity
-    if val % m:
+    """Exact monic m-th root of a homogeneous form, or None.
+
+    An m-th root of h dehomogenizes to one of u^v * hu, so the root is taken
+    there and its u-exponents are read back as digits (see _dehomogenize).
+    """
+    F, base, dd = h.field, h.d + 1, h.d // m
+    v, hu = _dehomogenize(h)
+    if v % m:
         return None
-    hu = UPoly(F, cs[val:])
     g = _upoly_mth_root(hu.monic(), m)
     if g is None:
         return None
     w = _scalar_root(F, hu.leading(), m)
     if w is None:
         return None
-    dd = h.d // m
     terms = {}
-    for i, c in enumerate(g.coeffs):
-        if not c:
-            continue
-        idx = i + val // m
-        exps = []
-        for _ in range(h.n):
-            exps.append(idx % base)
-            idx //= base
-        if idx or sum(exps) != dd:
-            return None
-        terms[tuple(exps)] = GFElem(F, F.muli(c, w))
+    for i, c in enumerate(g.coeffs, v // m):
+        if c:
+            exps = []
+            for _ in range(h.n - 1):
+                i, a = divmod(i, base)
+                exps.append(a)
+            exps.append(dd - sum(exps))
+            terms[tuple(exps)] = GFElem(F, F.muli(c, w))
     try:
         cand = HomForm(F, h.n, dd, terms)
     except ValidationError:
@@ -675,7 +643,8 @@ def random_form(field: FieldSpec, n: int, d: int, rng: random.Random) -> HomForm
 class _Parser:
     """Recursive descent for '+/-'-joined products of integers, variables
     x, y, x1..xn, the field generator t, parenthesized subexpressions, and
-    '^' powers.  Evaluates directly to a multivariate term dict."""
+    '^' powers.  Evaluates to a dict from packed exponents (_PARSE_BITS per
+    variable) to field encodings, multiplying with the residue kernel's _mul."""
 
     def __init__(self, text: str, field: FieldSpec, n_hint: int | None):
         self.text = text
@@ -683,6 +652,7 @@ class _Parser:
         self.field = field
         self.n = n_hint
         self.max_var = 0
+        self.guard = 0          # the guard bit of every variable seen so far
 
     def error(self, msg: str):
         raise ParseError(msg, self.pos)
@@ -693,30 +663,22 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expr(self) -> dict:
+        F = self.field
+        acc: dict = {}
         ch = self.peek()
-        neg = False
         if ch in ("+", "-"):
             self.pos += 1
-            neg = ch == "-"
-        acc = self.term()
-        if neg:
-            acc = {e: -c for e, c in acc.items()}
         while True:
+            for w, c in self.term().items():
+                c = F.addi(acc.get(w, 0), F.negi(c) if ch == "-" else c)
+                if c:
+                    acc[w] = c
+                else:
+                    del acc[w]
             ch = self.peek()
             if ch not in ("+", "-"):
-                break
+                return acc
             self.pos += 1
-            t = self.term()
-            if ch == "-":
-                t = {e: -c for e, c in t.items()}
-            for e, c in t.items():
-                cur = acc.get(e)
-                s = c if cur is None else cur + c
-                if s:
-                    acc[e] = s
-                elif cur is not None:
-                    del acc[e]
-        return acc
 
     def term(self) -> dict:
         acc = self.factor()
@@ -724,24 +686,18 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                acc = self._mul(acc, self.factor())
-            elif ch.isalnum() or ch == "(":
-                # implicit multiplication, e.g. "2x" or "x(x+y)"
-                acc = self._mul(acc, self.factor())
-            else:
+            elif not (ch.isalnum() or ch == "("):
                 return acc
+            # "*" or an implicit product, e.g. "2x" or "x(x+y)"
+            acc = self._times(acc, self.factor())
 
-    def _mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                w = tuple(x + y for x, y in zip(e1, e2))
-                cur = out.get(w)
-                s = c1 * c2 if cur is None else cur + c1 * c2
-                if s:
-                    out[w] = s
-                elif cur is not None:
-                    del out[w]
+    def _times(self, a: dict, b: dict) -> dict:
+        # both factors are below every guard bit, so no exponent carries
+        out = _mul(a, b, 0, 0, self.field.muli, self.field.addi)
+        if any(w & self.guard for w in out):
+            top = 1 << _PARSE_BITS - 1
+            raise BudgetError(f"an exponent reaches 2^{_PARSE_BITS - 1}; exponents must "
+                              "stay below it", top, top - 1)
         return out
 
     def factor(self) -> dict:
@@ -749,19 +705,20 @@ class _Parser:
         while self.peek() == "^":
             self.pos += 1
             expo = self.integer()
-            out = {(0,) * self._width(): self.field.one()}
-            for _ in range(expo):
-                out = self._mul(out, base)
+            out = {0: 1}
+            while expo:
+                if expo & 1:
+                    out = self._times(out, base)
+                expo >>= 1
+                if expo:
+                    base = self._times(base, base)
             base = out
         return base
 
-    def _width(self) -> int:
-        # provisional width when n is inferred; trimmed to the variables used
-        return self.n if self.n is not None else 12
-
     def atom(self) -> dict:
         ch = self.peek()
-        w = self._width()
+        # provisional width when n is inferred; trimmed to the variables used
+        w = self.n if self.n is not None else 12
         if ch == "":
             self.error("unexpected end of input")
         if ch == "(":
@@ -772,13 +729,13 @@ class _Parser:
             self.pos += 1
             return inner
         if ch.isdigit():
-            c = self.field.elem(self.integer())
-            return {(0,) * w: c} if c else {}
+            c = self.integer() % self.field.p
+            return {0: c} if c else {}
         if ch == "t":
             self.pos += 1
             if self.field.k == 1:
                 self.error("generator t is undefined over a prime field")
-            return {(0,) * w: self.field.gen()}
+            return {0: self.field.gen().enc}
         if ch in ("x", "y"):
             self.pos += 1
             idx = 0
@@ -793,8 +750,8 @@ class _Parser:
                 if self.n is None:
                     self.error(f"more than {w} variables need an explicit n")
                 self.error(f"variable index {idx + 1} exceeds n={w}")
-            e = tuple(1 if i == idx else 0 for i in range(w))
-            return {e: self.field.one()}
+            self.guard |= 1 << _PARSE_BITS * (idx + 1) - 1
+            return {1 << _PARSE_BITS * idx: 1}
         self.error(f"unexpected character {ch!r}")
 
     def integer(self) -> int:
@@ -812,26 +769,21 @@ def parse_form(text: str, field: FieldSpec, n: int | None = None) -> HomForm:
 
     Variables may be written x, y or x1..xn; '*' between factors is optional;
     coefficients are integers or parenthesized expressions in the generator t.
-    The result must be homogeneous and nonzero.
+    The result must be homogeneous and nonzero.  An exponent of 2^31 or more
+    raises BudgetError.
     """
     ps = _Parser(text, field, n)
-    terms = ps.expr()
+    packed = ps.expr()
     if ps.peek() != "":
         ps.error("trailing input")
-    if not terms:
+    if not packed:
         raise ParseError("polynomial is zero", 0)
     width = n if n is not None else max(ps.max_var, 1)
-    if n is None and any(e[1] for e in terms):
-        width = max(width, 2)
-    trimmed = {}
-    for e, c in terms.items():
-        if any(e[i] for i in range(width, len(e))):
-            raise ParseError(f"form uses more than n={width} variables", 0)
-        trimmed[e[:width]] = c
-    degs = {sum(e) for e in trimmed}
+    terms = {_unpack(w, width, _PARSE_BITS): GFElem(field, c) for w, c in packed.items()}
+    degs = {sum(e) for e in terms}
     if len(degs) != 1:
         raise ParseError(f"polynomial is not homogeneous (degrees {sorted(degs)})", 0)
     d = degs.pop()
     if d == 0:
         raise ParseError("constant polynomials are not forms", 0)
-    return HomForm(field, width, d, trimmed)
+    return HomForm(field, width, d, terms)

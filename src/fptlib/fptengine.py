@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import AnomalyError, ValidationError
 from .forms import (HomForm, ResidueLadder, in_frobenius_power, is_squarefree_binary,
                     perfect_power_decompose)
-from .ratbase import mult_order, trunc
+from .ratbase import mult_order
 
 
 @dataclass(frozen=True)
@@ -187,14 +187,16 @@ def fpt_general(f: HomForm, e_cap: int = 3) -> FptResult:
     if b % p == 0:
         return _interval_result(f, e_cap)
     # one ladder state walks the truncations: N_L = p N_{L-1} + c_L, and the
-    # residue at depth L continues from the one at depth L-1
+    # residue at depth L continues from the one at depth L-1.  The digits c_L
+    # come by long division; gcd(b, p) = 1 and b > 1, so no remainder is 0
     estar = mult_order(p, b)
     ladder = ResidueLadder(f, 0, max(p ** estar, d))
     certs: list[MembershipCheck] = []
-    NL = 0
+    NL, rem = 0, lam.numerator
     for L in range(1, estar + 1):
-        prev, NL = NL, trunc(lam, p, L).numer
-        ladder.rise(NL - p * prev)
+        c, rem = divmod(rem * p, b)
+        NL = p * NL + c
+        ladder.rise(c)
         if NL == 0:
             continue
         member = not ladder.terms

@@ -5,8 +5,9 @@ smallest monic irreducible of degree k, by descending-degree coefficient
 tuple), so witness reports are reproducible across runs and machines.
 Elements are stored as integer encodings sum(c_i * p^i).  Fields with at
 most _TABLE_MAX_Q elements multiply through a q x q table, built on first
-use and shared by every FieldSpec of the same (p, k, modulus); larger ones
-reduce on the fly.
+use and shared by every FieldSpec of the same (p, k, modulus): q - 1 reduced
+products walk the powers of a primitive element, and the table is filled
+from exp[log a + log b].  Larger fields reduce on the fly.
 
 UPoly provides exactly the univariate machinery the rest of the package
 needs: gcd, derivative, squarefree test, in-field root extraction, and
@@ -235,13 +236,27 @@ class FieldSpec:
             return a * b % self.p
         tab = self._mul_table
         if tab is None and self.q <= _TABLE_MAX_Q:
-            key, q = (self.p, self.k, self.modulus), self.q
+            key = (self.p, self.k, self.modulus)
             if key not in _MUL_TABLES:
-                _MUL_TABLES[key] = [[self._mul_raw(x, y) for y in range(q)] for x in range(q)]
+                _MUL_TABLES[key] = self._log_table()
             tab = self._mul_table = _MUL_TABLES[key]
         if tab is not None:
             return tab[a][b]
         return self._mul_raw(a, b)
+
+    def _log_table(self) -> list[list[int]]:
+        """The q x q product table as a*b = exp[log a + log b], from the powers
+        of the first primitive element."""
+        q = self.q
+        for g in range(2, q):
+            exp = [1]
+            while (x := self._mul_raw(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
+        logs = sorted(range(q - 1), key=exp.__getitem__)    # log a for a = 1..q-1
+        exp += exp
+        return [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
     def powi(self, a: int, n: int) -> int:
         if self.k == 1:

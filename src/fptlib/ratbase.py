@@ -40,18 +40,6 @@ def require_prime(p: int) -> None:
         raise ValidationError(f"p must be prime, got {p!r}")
 
 
-def p_adic_valuation(n: int, p: int) -> int:
-    """Largest v with p^v dividing n (n != 0)."""
-    if n == 0:
-        raise ValidationError("valuation of 0 is undefined")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
-
-
 @dataclass(frozen=True)
 class TruncationValue:
     """A truncation N/p^e of a base-p expansion, kept unreduced.

@@ -49,6 +49,20 @@ class TestFpt:
         assert code == 3 and out == ""
         assert "budget" in err
 
+    def test_huge_exponent_exit_code(self, capsys):
+        # refused after 31 squarings, not expanded one factor at a time
+        code, out, err = run(capsys, "fpt", "--p", "5", "--poly", "x^4294967296*y")
+        assert code == 3 and out == ""
+        assert "2^31" in err
+
+    def test_perfect_power_check_budget_exit_code(self, capsys):
+        # dehomogenizing a septic in 8 variables needs 8^7 slots: valid input
+        # over a size budget, not bad input
+        code, out, err = run(capsys, "fpt", "--p", "5", "--n", "8",
+                             "--poly", "x1^7+x2^7+x3^7+x4^7+x5^7+x6^7+x7^7+x8^7")
+        assert code == 3 and out == ""
+        assert "budget" in err
+
 
 class TestGeneric:
     def test_values(self, capsys):

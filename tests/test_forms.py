@@ -271,7 +271,7 @@ class TestPerfectPower:
 
         for _ in range(60):
             K = FieldSpec(rng.choice([2, 3, 5, 7]), rng.choice([1, 2]))
-            base = random_sparse(K, 2, rng.randrange(1, 4), rng)
+            base = random_sparse(K, rng.choice([2, 3, 4]), rng.randrange(1, 4), rng)
             r = rng.choice([1, 2, 3, 4, 6])
             f = _form_pow(base, r)
             g, rr = perfect_power_decompose(f)
@@ -287,6 +287,14 @@ class TestPerfectPower:
         assert r == 2 and g == parse_form("x1^2+x2*x3", K5)
         f3 = parse_form("x1*x2*x3", K5)
         assert perfect_power_decompose(f3)[1] == 1
+        # a dense quadric in four variables, cubed; for n >= 3 the root may
+        # differ from the quadric by a cube root of unity
+        from fptlib.forms import _form_pow
+
+        quadric = "x1^2+2*x1*x2+3*x1*x3+4*x1*x4+5*x2^2+6*x2*x3+x2*x4+2*x3^2+3*x3*x4+4*x4^2"
+        f = parse_form(f"({quadric})^3", FieldSpec(7))
+        g, r = perfect_power_decompose(f)
+        assert r == 3 and _form_pow(g, 3) == f
 
 
 class TestSubstitution:
@@ -330,6 +338,16 @@ class TestParser:
             parse_form("t*x", K)          # no generator over a prime field
         with pytest.raises(ParseError):
             parse_form("5*x^2", K)        # vanishes mod 5
+
+    def test_powers_match_naive_expansion(self):
+        # "^k" by squaring against k naive multiplications; a depth e with
+        # p^e above the degree truncates nothing
+        K7, K9 = FieldSpec(7), FieldSpec(3, 2)
+        for base, K, n in [("x+y", K7, 2), ("x1+2*x2+x3", K7, 3), ("t*x+y", K9, 2)]:
+            g = parse_form(base, K, n=n)
+            for k in range(1, 13):
+                f = parse_form(f"({base})^{k}", K, n=n)
+                assert f.terms == naive_residue(g, k, 3)
 
     def test_minus_and_implicit_product(self):
         K = FieldSpec(7)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fptlib import FieldSpec, UPoly, ValidationError
+from fptlib.gfpoly import _TABLE_MAX_Q
 
 
 class TestFieldConstruction:
@@ -39,10 +40,16 @@ class TestFieldArithmetic:
         with pytest.raises(ValidationError):
             K.zero().inverse()
 
-    @pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (2, 4), (3, 2), (5, 2), (97, 2)])
+    @pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                     (5, 2), (97, 2)])
     def test_axioms_randomized(self, p, k):
         # q up to 9409 exercises both the table and the on-the-fly path
         K = FieldSpec(p, k)
+        if 1 < k and K.q <= _TABLE_MAX_Q:
+            # the log/antilog table agrees with reduction; over F_9 the
+            # generator t is not primitive modulo x^2+1
+            K.muli(1, 1)
+            assert K._mul_table == [[K._mul_raw(a, b) for b in range(K.q)] for a in range(K.q)]
         rng = random.Random(p * 100 + k)
         for _ in range(120):
             a, b, c = (K.random_elem(rng) for _ in range(3))
