@@ -52,7 +52,10 @@ def _parse_fraction(text: str) -> Fraction:
 def cmd_fpt(args) -> int:
     field = FieldSpec(args.p, args.k)
     f = parse_form(args.poly, field, n=args.n)
-    res = fpt_general(f, e_cap=args.e_cap if f.n == 2 else min(args.e_cap, 4))
+    e_cap = args.e_cap
+    if e_cap is None:
+        e_cap = 8 if f.n == 2 else 4
+    res = fpt_general(f, e_cap=e_cap)
     _emit(args, res.to_dict(), res.describe())
     return EXIT_OK
 
@@ -178,8 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None,
                     help="number of variables (default: inferred)")
     sp.add_argument("--poly", required=True)
-    sp.add_argument("--e-cap", dest="e_cap", type=int, default=8,
-                    help="fallback interval depth when no exact rule applies")
+    sp.add_argument("--e-cap", dest="e_cap", type=int, default=None,
+                    help="fallback interval depth when no exact rule applies "
+                         "(default: 8 for binary forms, 4 otherwise)")
     common(sp)
     sp.set_defaults(func=cmd_fpt)
 

@@ -23,10 +23,10 @@ Frobenius on exponents is w * p.  Coefficients are field encodings
 (FieldSpec.muli/addi/frobi), or UPoly for a form with one symbolic parameter.
 The text parser evaluates on the same packing with the same product.
 
-The squarefree test and the perfect-power check share one dehomogenization:
-x_n -> 1 and x_i -> u^{(d+1)^i} for i < n, a ring map that is injective on
-forms of degree d (for binary forms it is y -> 1), so both questions become
-questions about one univariate polynomial.
+Packed exponents compare as integers in a lex order (x_n most significant),
+and a lex order is a monomial order, so the perfect-power check takes m-th
+roots on the same packing, one term at a time from the top down, in any
+arity.  The squarefree test of a binary form sets y = 1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import BudgetError, ParseError, ValidationError
 from .gfpoly import FieldSpec, GFElem, UPoly
 
 _WINDOW_BUDGET = 1 << 18    # most terms in a residue; x^3*y^2+x*y^4 over F_13 needs 185,649 at e=6
-_DENSE_BUDGET = 2_000_000   # most slots in a dehomogenized form
 _PARSE_BITS = 32            # bits per variable in the parser's packing: degrees stay below 2^31
 
 
@@ -174,12 +173,9 @@ class HomForm:
         else:
             K = self.field
             a = K.elem(a)
-        emb = K.embedding_from(self.field)
         terms = {}
         for exps, poly in self.terms.items():
-            acc = 0
-            for c in reversed(poly.coeffs):
-                acc = K.addi(K.muli(acc, a.enc), emb(c))
+            acc = poly.map_to(K).eval_enc(a.enc)
             if acc:
                 terms[exps] = GFElem(K, acc)
         if not terms:
@@ -278,6 +274,18 @@ def _mul(A: dict, B: dict, add: int, mask: int, mul, plus) -> dict:
     return out
 
 
+def _pow(A: dict, c: int, add: int, mask: int, mul, plus) -> dict:
+    """A^c for c >= 1, by squaring, without the terms _mul drops."""
+    piece = None
+    while True:
+        if c & 1:
+            piece = A if piece is None else _mul(piece, A, add, mask, mul, plus)
+        c >>= 1
+        if not c:
+            return piece
+        A = _mul(A, A, add, mask, mul, plus)
+
+
 class ResidueLadder:
     """The residue of f^N modulo (x_1^{p^depth}, ..., x_n^{p^depth}), advanced
     one base-p digit at a time: ``rise(c)`` takes N to p*N + c and depth to
@@ -320,16 +328,8 @@ class ResidueLadder:
             return
         mask, mul, plus = self.mask, self.mul, self.plus
         add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if mask else 0
-        square = {w: v for w, v in self.f.items() if not (w + add) & mask}
-        piece = None
-        while True:
-            if c & 1:
-                piece = square if piece is None else _mul(piece, square, add, mask, mul, plus)
-            c >>= 1
-            if not c:
-                break
-            square = _mul(square, square, add, mask, mul, plus)
-        self.terms = _mul(self.terms, piece, add, mask, mul, plus)
+        f = {w: v for w, v in self.f.items() if not (w + add) & mask}
+        self.terms = _mul(self.terms, _pow(f, c, add, mask, mul, plus), add, mask, mul, plus)
 
     def rise(self, c: int) -> None:
         """One ladder step: raise to the p-th power, then multiply by f^c."""
@@ -399,34 +399,8 @@ def coeff_of_power(f: HomForm, N: int, j: int):
 
 
 # ---------------------------------------------------------------------------
-# structure of binary forms
+# squarefree binary forms and perfect powers
 # ---------------------------------------------------------------------------
-
-def _dehomogenize(f: HomForm) -> tuple[int, UPoly]:
-    """f at x_n = 1 and x_i = u^{(d+1)^i} for i < n, written u^v * h(u), h(0) != 0.
-
-    The base-(d+1) digits of a u-exponent are the exponents of x_1..x_{n-1},
-    and x_n's is d minus their sum.  For a binary form v is the multiplicity
-    of x and d - v - deg h that of y.
-    """
-    base = f.d + 1
-    slots = base ** (f.n - 1)
-    if slots > _DENSE_BUDGET:
-        raise BudgetError(f"dehomogenizing a degree-{f.d} form in {f.n} variables needs "
-                          f"{slots} slots, over the budget of {_DENSE_BUDGET}",
-                          slots, _DENSE_BUDGET)
-    flat = {}
-    for e, c in f.terms.items():
-        w = 0
-        for a in e[-2::-1]:
-            w = w * base + a
-        flat[w] = c.enc
-    v = min(flat)
-    cs = [0] * (max(flat) - v + 1)
-    for w, c in flat.items():
-        cs[w - v] = c
-    return v, UPoly(f.field, cs)
-
 
 def is_squarefree_binary(f: HomForm) -> bool:
     """True iff the binary form has no repeated linear factor over the closure."""
@@ -435,35 +409,18 @@ def is_squarefree_binary(f: HomForm) -> bool:
     if f.parametric:
         raise ValidationError("squarefree test requires a concrete form")
     if f._squarefree is None:
-        v, h = _dehomogenize(f)
+        # f at y = 1 is x^v * h(x) with h(0) != 0: x has multiplicity v and
+        # y has d - v - deg h
+        cs = f.coeff_list()[::-1]
+        v = next(a for a, c in enumerate(cs) if c)
+        h = UPoly(f.field, cs[v:])
         f._squarefree = v <= 1 and f.d - v - h.degree <= 1 and (h.degree == 0 or h.is_squarefree())
     return f._squarefree
 
 
-def _upoly_mth_root(h: UPoly, m: int) -> UPoly | None:
-    """Exact m-th root of a univariate polynomial with h(0) != 0, p not | m."""
-    F = h.field
-    if h.degree % m:
-        return None
-    c0 = _scalar_root(F, h.coeff(0), m)
-    if c0 is None:
-        return None
-    g = [c0]
-    lead_inv = F.invi(F.muli(m % F.p, F.powi(c0, m - 1)))
-    for i in range(1, h.degree // m + 1):
-        # coefficient of u^i in (current g)^m, missing only the m*g_i*c0^(m-1) part
-        pm = UPoly(F, g).pow(m)
-        g.append(F.muli(F.subi(h.coeff(i), pm.coeff(i)), lead_inv))
-    cand = UPoly(F, g)
-    return cand if cand.pow(m) == h else None
-
-
 def _scalar_root(field: FieldSpec, c_enc: int, r: int) -> int | None:
-    """An r-th root of a nonzero field element, or None."""
-    p, q = field.p, field.q
-    while r % p == 0:
-        c_enc = field.pth_rooti(c_enc)
-        r //= p
+    """An r-th root of a nonzero field element (p not dividing r), or None."""
+    q = field.q
     if r == 1 or c_enc == 1:
         return c_enc
     g = gcd(r, q - 1)
@@ -477,91 +434,79 @@ def _scalar_root(field: FieldSpec, c_enc: int, r: int) -> int | None:
     return None
 
 
-def _divisors_desc(n: int) -> list[int]:
-    return [d for d in range(n, 0, -1) if n % d == 0]
+def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
+    """An m-th root (p not dividing m) of a packed dict of encodings, or None.
+
+    Packed exponents compare in a lex order, and the top and bottom terms of
+    g^m are the m-th powers of g's top and bottom terms.  The root is built
+    from the top down: while H - g^m is led by c x^e, the next term of g is
+    c / (m lc(g)^(m-1)) x^(e - (m-1) top(g)).  Each step lowers the leading
+    term of H - g^m, so the loop ends.
+    """
+    top, low = max(H), min(H)
+    if any(a % m for a in _unpack(top, n, s) + _unpack(low, n, s)):
+        return None
+    c = _scalar_root(F, H[top], m)
+    if c is None:
+        return None
+    mul, plus = F.muli, F.addi
+    E, bottom = top // m, low // m
+    k = (m - 1) * E
+    guard = (1 << s - 1) * sum(1 << s * i for i in range(n))
+    scale = F.invi(mul(m % F.p, F.powi(c, m - 1)))
+    G = {E: c}
+    while True:
+        R = dict(H)
+        for w, v in _pow(G, m, 0, 0, mul, plus).items():
+            v = F.subi(R.get(w, 0), v)
+            if v:
+                R[w] = v
+            else:
+                del R[w]
+        if not R:
+            return G
+        e = max(R)
+        # t = e - k needs every component of e at least k's, and t >= bottom
+        if (e + guard - k) & guard != guard or e - k < bottom:
+            return None
+        G[e - k] = mul(R[e], scale)
 
 
 def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
     """Maximal (g, r) with g^r = f exactly (r = 1 when f is not a proper power).
 
-    The p-power part is peeled off with coefficientwise p-th roots; the
-    remaining tame part is extracted by exact m-th roots of its
-    dehomogenization and verified by re-expansion.
+    For each r | d from the largest down, with r = m p^s and p not dividing
+    m: f = (g^m)^(p^s), so g^m is the coefficientwise p^s-th root of f, which
+    exists exactly when p^s divides every exponent, and g is its m-th root.
     """
     if f.parametric:
         raise ValidationError("perfect-power decomposition requires a concrete form")
-    F, p = f.field, f.field.p
-    lead = max(f.terms)
-    c_lead = f.terms[lead]
-    fm = f.scale(c_lead.inverse()) if c_lead.enc != 1 else f
-    # peel Frobenius powers
-    s = 0
-    h = fm
-    while h.d > 1 and all(a % p == 0 for e in h.terms for a in e):
-        terms = {tuple(a // p for a in e): GFElem(F, F.pth_rooti(c.enc))
-                 for e, c in h.terms.items()}
-        h = HomForm(F, h.n, h.d // p, terms)
-        s += 1
-    base, m = h, 1
-    if h.d > 1:
-        for cand in _divisors_desc(h.d):
-            if cand == 1 or cand % p == 0:
-                continue
-            g = _mth_root_form(h, cand)
-            if g is not None:
-                base, m = g, cand
-                break
-    r0 = m * p ** s
-    if r0 == 1:
-        return f, 1
-    # reattach the leading scalar: need an r-th root of it in the field
-    for r in _divisors_desc(r0):
-        w = _scalar_root(F, c_lead.enc, r)
-        if w is not None:
-            if r == 1:
-                return f, 1
-            g = _form_pow(base, r0 // r)
-            if w != 1:
-                g = g.scale(GFElem(F, w))
-            return g, r
+    F, p, n = f.field, f.field.p, f.n
+    s = f.d.bit_length() + 1
+    for r in range(f.d, 1, -1):
+        if f.d % r:
+            continue
+        m, ps = r, 1
+        while m % p == 0:
+            m, ps = m // p, ps * p
+        if any(a % ps for e in f.terms for a in e):
+            continue
+        H = {}
+        for e, c in f.terms.items():
+            c, t = c.enc, ps
+            while t > 1:
+                c, t = F.pth_rooti(c), t // p
+            H[_pack(e, s) // ps] = c
+        g = H if m == 1 else _mth_root(H, m, n, s, F)
+        if g is not None:
+            return HomForm(F, n, f.d // r, {_unpack(w, n, s): GFElem(F, c)
+                                            for w, c in g.items()}), r
     return f, 1
 
 
 def _form_pow(f: HomForm, r: int) -> HomForm:
     lad = ResidueLadder(f, 0, f.d * r + 1, bounded=False).climb(r)
     return HomForm(f.field, f.n, f.d * r, lad.residue())
-
-
-def _mth_root_form(h: HomForm, m: int) -> HomForm | None:
-    """Exact monic m-th root of a homogeneous form, or None.
-
-    An m-th root of h dehomogenizes to one of u^v * hu, so the root is taken
-    there and its u-exponents are read back as digits (see _dehomogenize).
-    """
-    F, base, dd = h.field, h.d + 1, h.d // m
-    v, hu = _dehomogenize(h)
-    if v % m:
-        return None
-    g = _upoly_mth_root(hu.monic(), m)
-    if g is None:
-        return None
-    w = _scalar_root(F, hu.leading(), m)
-    if w is None:
-        return None
-    terms = {}
-    for i, c in enumerate(g.coeffs, v // m):
-        if c:
-            exps = []
-            for _ in range(h.n - 1):
-                i, a = divmod(i, base)
-                exps.append(a)
-            exps.append(dd - sum(exps))
-            terms[tuple(exps)] = GFElem(F, F.muli(c, w))
-    try:
-        cand = HomForm(F, h.n, dd, terms)
-    except ValidationError:
-        return None
-    return cand if _form_pow(cand, m) == h else None
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,34 @@ class TestFpt:
         assert "2^31" in err
 
     def test_perfect_power_check_budget_exit_code(self, capsys):
-        # dehomogenizing a septic in 8 variables needs 8^7 slots: valid input
-        # over a size budget, not bad input
+        # a septic in 8 variables is no power; its depth-4 interval needs a
+        # residue over the 2^18-term budget: valid input, not bad input
         code, out, err = run(capsys, "fpt", "--p", "5", "--n", "8",
                              "--poly", "x1^7+x2^7+x3^7+x4^7+x5^7+x6^7+x7^7+x8^7")
+        assert code == 3 and out == ""
+        assert "budget" in err
+
+    def test_twelve_variable_quadric(self, capsys):
+        quadric = ("x1^2+2*x1*x2+3*x1*x3+4*x1*x4+5*x2^2+6*x2*x3+x2*x4+2*x3^2+3*x3*x4+4*x4^2+"
+                   + "+".join(f"x{i}^2" for i in range(5, 13)))
+        code, out, _ = run(capsys, "fpt", "--p", "7", "--e-cap", "1", "--poly", quadric)
+        assert code == 0
+        assert out.strip() == "(6/7, 1] (interval, bounded-fallback)"
+
+    def test_explicit_e_cap_honored_for_three_variables(self, capsys):
+        code, out, _ = run(capsys, "fpt", "--p", "5", "--n", "3",
+                           "--poly", "x1^2*x2+x3^3", "--e-cap", "6")
+        assert code == 0
+        assert out.strip() == "(12499/15625, 4/5] (interval, bounded-fallback)"
+        # the default for n >= 3 stays at depth 4
+        code, out, _ = run(capsys, "fpt", "--p", "5", "--n", "3", "--poly", "x1^2*x2+x3^3")
+        assert code == 0
+        assert out.strip() == "(499/625, 4/5] (interval, bounded-fallback)"
+
+    def test_explicit_e_cap_refused_over_budget(self, capsys):
+        # depth 6 on a cubic in 3 variables is refused, not lowered to depth 4
+        code, out, err = run(capsys, "fpt", "--p", "7", "--n", "3",
+                             "--poly", "x1^3+x2^3+x3^3+x1*x2*x3", "--e-cap", "6")
         assert code == 3 and out == ""
         assert "budget" in err
 

@@ -295,6 +295,12 @@ class TestPerfectPower:
         f = parse_form(f"({quadric})^3", FieldSpec(7))
         g, r = perfect_power_decompose(f)
         assert r == 3 and _form_pow(g, 3) == f
+        # twelve variables: a square, and a quadric that is no power
+        linear = "+".join(f"x{i}" for i in range(1, 13))
+        g, r = perfect_power_decompose(parse_form(f"({linear})^2", K5))
+        assert r == 2 and g == parse_form(linear, K5)
+        rest = "+".join(f"x{i}^2" for i in range(5, 13))
+        assert perfect_power_decompose(parse_form(f"{quadric}+{rest}", FieldSpec(7)))[1] == 1
 
 
 class TestSubstitution:
