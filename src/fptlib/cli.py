@@ -52,10 +52,7 @@ def _parse_fraction(text: str) -> Fraction:
 def cmd_fpt(args) -> int:
     field = FieldSpec(args.p, args.k)
     f = parse_form(args.poly, field, n=args.n)
-    e_cap = args.e_cap
-    if e_cap is None:
-        e_cap = 8 if f.n == 2 else 4
-    res = fpt_general(f, e_cap=e_cap)
+    res = fpt_general(f, e_cap=args.e_cap)
     _emit(args, res.to_dict(), res.describe())
     return EXIT_OK
 

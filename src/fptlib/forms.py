@@ -32,7 +32,7 @@ arity.  The squarefree test of a binary form sets y = 1.
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import comb, gcd
 
 from .errors import BudgetError, ParseError, ValidationError
 from .gfpoly import FieldSpec, GFElem, UPoly
@@ -274,6 +274,19 @@ def _mul(A: dict, B: dict, add: int, mask: int, mul, plus) -> dict:
     return out
 
 
+def _addmul(out: dict, A: dict, c: int, shift: int, F: FieldSpec) -> None:
+    """out += c x^shift A in place, for c nonzero, dropping sums that vanish."""
+    mul, add = F.muli, F.addi
+    get = out.get
+    for w, a in A.items():
+        w += shift
+        v = add(get(w, 0), mul(c, a))
+        if v:
+            out[w] = v
+        else:
+            del out[w]
+
+
 def _pow(A: dict, c: int, add: int, mask: int, mul, plus) -> dict:
     """A^c for c >= 1, by squaring, without the terms _mul drops."""
     piece = None
@@ -441,7 +454,9 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
     g^m are the m-th powers of g's top and bottom terms.  The root is built
     from the top down: while H - g^m is led by c x^e, the next term of g is
     c / (m lc(g)^(m-1)) x^(e - (m-1) top(g)).  Each step lowers the leading
-    term of H - g^m, so the loop ends.
+    term of H - g^m, so the loop ends.  The powers g^i for i < m, and
+    H - g^m, are kept and updated by (g + u)^i = sum_j C(i, j) u^j g^(i-j):
+    a monomial u makes each u^j g^(i-j) a shifted, scaled copy.
     """
     top, low = max(H), min(H)
     if any(a % m for a in _unpack(top, n, s) + _unpack(low, n, s)):
@@ -449,27 +464,33 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
     c = _scalar_root(F, H[top], m)
     if c is None:
         return None
-    mul, plus = F.muli, F.addi
+    mul = F.muli
     E, bottom = top // m, low // m
     k = (m - 1) * E
     guard = (1 << s - 1) * sum(1 << s * i for i in range(n))
     scale = F.invi(mul(m % F.p, F.powi(c, m - 1)))
-    G = {E: c}
+    G: dict = {}
+    P = [{0: 1}] + [{} for _ in range(m - 1)] + [dict(H)]     # g^i for i < m, and H - g^m
+    t, v = E, c
     while True:
-        R = dict(H)
-        for w, v in _pow(G, m, 0, 0, mul, plus).items():
-            v = F.subi(R.get(w, 0), v)
-            if v:
-                R[w] = v
-            else:
-                del R[w]
-        if not R:
-            return G
-        e = max(R)
-        # t = e - k needs every component of e at least k's, and t >= bottom
-        if (e + guard - k) & guard != guard or e - k < bottom:
-            return None
-        G[e - k] = mul(R[e], scale)
+        G[t] = v
+        vj = [1]
+        for _ in range(m):
+            vj.append(mul(vj[-1], v))
+        for i in range(m, 0, -1):               # P[i - j] is still the old g^(i-j)
+            for j in range(1, i + 1):
+                b = (comb(i, j) if i < m else -comb(i, j)) % F.p
+                if b:
+                    _addmul(P[i], P[i - j], mul(b, vj[j]), j * t, F)
+            if i == m:
+                # the powers below m are needed only if g takes another term
+                if not P[m]:
+                    return G
+                e = max(P[m])
+                # t = e - k needs every component of e at least k's, and t >= bottom
+                if (e + guard - k) & guard != guard or e - k < bottom:
+                    return None
+        t, v = e - k, mul(P[m][e], scale)
 
 
 def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
@@ -547,16 +568,11 @@ def substitute_linear(f: HomForm, T) -> HomForm:
     linear = [{1 << s * j: rows[i][j] for j in range(n) if rows[i][j]} for i in range(n)]
     out: dict = {}
     for exps, c in f.terms.items():
-        term = {0: c.enc}
+        term = {0: 1}
         for i, a in enumerate(exps):
             for _ in range(a):
                 term = _mul(term, linear[i], 0, 0, F.muli, F.addi)
-        for w, v in term.items():
-            v = F.addi(out.get(w, 0), v)
-            if v:
-                out[w] = v
-            else:
-                del out[w]
+        _addmul(out, term, c.enc, 0, F)
     out = {_unpack(w, n, s): GFElem(F, c) for w, c in out.items()}
     return HomForm(F, n, f.d, out)
 
@@ -614,12 +630,7 @@ class _Parser:
         if ch in ("+", "-"):
             self.pos += 1
         while True:
-            for w, c in self.term().items():
-                c = F.addi(acc.get(w, 0), F.negi(c) if ch == "-" else c)
-                if c:
-                    acc[w] = c
-                else:
-                    del acc[w]
+            _addmul(acc, self.term(), F.negi(1) if ch == "-" else 1, 0, F)
             ch = self.peek()
             if ch not in ("+", "-"):
                 return acc

@@ -149,14 +149,14 @@ def _interval_result(f: HomForm, e_cap: int) -> FptResult:
                      certificates=tuple(certs))
 
 
-def fpt_binary_exact(f: HomForm, e_cap: int = 8) -> FptResult:
+def fpt_binary_exact(f: HomForm, e_cap: int | None = None) -> FptResult:
     """The threshold of a binary form (see fpt_general)."""
     if f.n != 2:
         raise ValidationError("fpt_binary_exact needs a binary form")
     return fpt_general(f, e_cap)
 
 
-def fpt_general(f: HomForm, e_cap: int = 3) -> FptResult:
+def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
     """Threshold in any number of variables, exact wherever the rules reach.
 
     Dispatch: monomials and linear forms by the explicit rule; perfect powers
@@ -164,9 +164,12 @@ def fpt_general(f: HomForm, e_cap: int = 3) -> FptResult:
     get 2/d; other squarefree binary forms with p coprime to the reduced
     denominator b of 2/d are resolved by testing the truncation numerators
     N_L for L = 1..ord_b(p) (smallest passing depth wins, no pass means 2/d);
-    the rest fall back to a certified interval at depth ``e_cap``.
+    the rest fall back to a certified interval at depth ``e_cap``, by default
+    8 for binary forms and 4 otherwise.
     """
     _check_form(f)
+    if e_cap is None:
+        e_cap = 8 if f.n == 2 else 4
     if f.is_monomial():
         exps = next(iter(f.terms))
         return FptResult("exact", "monomial", value=fpt_monomial(exps))

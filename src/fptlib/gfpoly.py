@@ -9,15 +9,17 @@ use and shared by every FieldSpec of the same (p, k, modulus): q - 1 reduced
 products walk the powers of a primitive element, and the table is filled
 from exp[log a + log b].  Larger fields reduce on the fly.
 
-UPoly provides exactly the univariate machinery the rest of the package
-needs: gcd, derivative, squarefree test, in-field root extraction, and
-composition-free modular powering.
+Dense univariate arithmetic is one set of routines on lists of encodings over
+any FieldSpec: product, division with remainder, monic gcd and (modular)
+powering.  Products in F_{p^k} above the table size, the table itself and the
+search for the modulus run them over the prime field; UPoly wraps them and
+adds what the rest of the package needs: derivative, squarefree test and
+in-field root extraction.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import ValidationError
 from .ratbase import require_prime
@@ -28,7 +30,10 @@ _MUL_TABLES: dict = {}      # (p, k, modulus) -> multiplication table
 
 
 # ---------------------------------------------------------------------------
-# dense F_p[x] helpers on plain int lists (ascending degree, trimmed)
+# dense polynomial arithmetic over any FieldSpec F, on lists (or tuples) of
+# encodings in ascending degree.  UPoly wraps these routines; the modulus
+# search and _mul_raw call them over the prime field.  Field operations are
+# looked up on F at each call, never bound at import.
 # ---------------------------------------------------------------------------
 
 def _trim(a: list[int]) -> list[int]:
@@ -37,75 +42,88 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+def _pmul(a, b, F: "FieldSpec") -> list[int]:
+    """a * b; trimmed when a and b are."""
     if not a or not b:
         return []
+    mul, add = F.muli, F.addi
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = a[:]
-    dm = len(m) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for t in range(dm):
-                a[off + t] = (a[off + t] - c * m[t]) % p
-        a.pop()
-    return _trim(a)
-
-
-def _ppowmod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _pmod(a, m, p)
-    while n:
-        if n & 1:
-            out = _pmod(_pmul(out, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        n >>= 1
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
     return out
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(a[:]), _trim(b[:])
+def _pdivmod(a, b, F: "FieldSpec") -> tuple[list[int], list[int]]:
+    """Quotient and trimmed remainder of a by b (b trimmed and nonzero)."""
+    if not b:
+        raise ValidationError("division by zero polynomial")
+    mul, add = F.muli, F.addi
+    rem = list(a)
+    db = len(b) - 1
+    inv = F.invi(b[-1])
+    low = [(t, bt) for t, bt in enumerate(b[:db]) if bt]    # field moduli are sparse
+    q = [0] * max(0, len(rem) - db)
+    while len(rem) > db:
+        c = rem.pop()
+        if c:
+            off = len(rem) - db
+            q[off] = c = mul(c, inv)
+            c = F.negi(c)
+            for t, bt in low:
+                rem[off + t] = add(rem[off + t], mul(c, bt))
+    return q, _trim(rem)
+
+
+def _pgcd(a, b, F: "FieldSpec") -> list[int]:
+    """Monic gcd of a and b (b trimmed); gcd(a, 0) is a made monic."""
     while b:
-        inv = pow(b[-1], -1, p)
-        bm = [c * inv % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+        a, b = b, _pdivmod(a, b, F)[1]
+    if not a:
+        return []
+    inv = F.invi(a[-1])
+    return [F.muli(c, inv) for c in a]
 
 
-def _is_irreducible_mod_p(m: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p."""
+def _ppowmod(a, n: int, m, F: "FieldSpec") -> list[int]:
+    """a^n, reduced mod m at every step unless m is None."""
+    def red(x):
+        return x if m is None else _pdivmod(x, m, F)[1]
+
+    out = [1]
+    base = red(a)
+    while n:
+        if n & 1:
+            out = red(_pmul(out, base, F))
+        n >>= 1
+        if n:
+            base = red(_pmul(base, base, F))
+    return out
+
+
+def _is_irreducible(m: list[int], Fp: "FieldSpec") -> bool:
+    """Rabin test for a monic polynomial over the prime field Fp."""
     k = len(m) - 1
     if k < 1:
         return False
     if k == 1:
         return True
-    x = [0, 1]
-    xp = [_ppowmod(x, p, m, p)]  # xp[j] = x^{p^{j+1}} mod m
-    for _ in range(k - 1):
-        xp.append(_ppowmod(xp[-1], p, m, p))
-    if xp[k - 1] != _pmod(x, m, p):
-        return False
+    p, x = Fp.p, [0, 1]
+    xp = [_ppowmod(x, p, m, Fp)]  # xp[j] = x^{p^{j+1}} mod m
 
     def _coprime_at(j: int) -> bool:
-        g = xp[j - 1][:]
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        return len(_pgcd(g, m, p)) == 1
+        g = xp[j - 1] + [0] * (2 - len(xp[j - 1]))
+        g[1] = Fp.subi(g[1], 1)
+        return len(_pgcd(_trim(g), m, Fp)) == 1
 
+    if not _coprime_at(1):        # a root in F_p: a linear factor
+        return False
+    for _ in range(k - 1):
+        xp.append(_ppowmod(xp[-1], p, m, Fp))
+    if xp[k - 1] != x:
+        return False
     # gcd(x^{p^{k/ell}} - x, m) = 1 for every prime ell | k
     ell = 2
     kk = k
@@ -121,18 +139,14 @@ def _is_irreducible_mod_p(m: list[int], p: int) -> bool:
     return True
 
 
-def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over F_p."""
+def _smallest_modulus(Fp: "FieldSpec", k: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree k over Fp."""
     if k == 1:
         return (0, 1)
+    p = Fp.p
     for enc in range(p ** k):
-        cs = []
-        m = enc
-        for _ in range(k):
-            cs.append(m % p)
-            m //= p
-        cand = cs + [1]
-        if _is_irreducible_mod_p(cand, p):
+        cand = [enc // p ** i % p for i in range(k)] + [1]
+        if _is_irreducible(cand, Fp):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -148,7 +162,7 @@ class FieldSpec:
     on encodings, and `elem` wraps one into a GFElem.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_rng", "_embed_cache")
+    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_prime", "_embed_cache")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         require_prime(p)
@@ -157,12 +171,13 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.q = p ** k
+        self._prime = self if k == 1 else FieldSpec(p)     # F_p, for arithmetic mod `modulus`
         if modulus is None:
-            modulus = _smallest_modulus(p, k)
+            modulus = _smallest_modulus(self._prime, k)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValidationError("modulus must be monic of degree k")
-        if k > 1 and not _is_irreducible_mod_p(list(modulus), p):
+        if k > 1 and not _is_irreducible(list(modulus), self._prime):
             raise ValidationError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._mul_table: list[list[int]] | None = None
@@ -225,11 +240,9 @@ class FieldSpec:
         return self.addi(a, self.negi(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
-        ca = list(self.coeffs_of(a))
-        cb = list(self.coeffs_of(b))
-        prod = _pmod(_pmul(ca, cb, p), list(self.modulus), p)
-        return self.enc_of(prod + [0] * (self.k - len(prod)))
+        Fp = self._prime
+        prod = _pmul(self.coeffs_of(a), self.coeffs_of(b), Fp)
+        return self.enc_of(_pdivmod(prod, self.modulus, Fp)[1])
 
     def muli(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -354,23 +367,9 @@ class FieldSpec:
         if table is None:
             if self.q > _ROOT_BRUTE_MAX_Q:
                 raise ValidationError("embedding search too large for this field")
-            root = None
-            mod = src.modulus
-            for cand in range(self.q):
-                acc = 0
-                for c in reversed(mod):
-                    acc = self.addi(self.muli(acc, cand), c % self.p)
-                if acc == 0:
-                    root = cand
-                    break
-            if root is None:
-                raise AssertionError("embedding root must exist")
-            table = [0] * src.q
-            for enc in range(src.q):
-                acc = 0
-                for c in reversed(src.coeffs_of(enc)):
-                    acc = self.addi(self.muli(acc, root), c)
-                table[enc] = acc
+            # t goes to the smallest-encoding root of src's modulus
+            root = UPoly(self, src.modulus).roots_in()[0].enc
+            table = [UPoly(self, src.coeffs_of(enc)).eval_enc(root) for enc in range(src.q)]
             self._embed_cache[key] = table
         return lambda enc: table[enc]
 
@@ -552,17 +551,7 @@ class UPoly:
         return UPoly(F, [F.negi(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UPoly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = F.addi(out[i + j], F.muli(ai, bj))
-        return UPoly(F, out)
+        return UPoly(self.field, _pmul(self.coeffs, other.coeffs, self.field))
 
     def scale(self, c) -> "UPoly":
         # plain ints are encodings here, matching the coefficient convention
@@ -576,50 +565,23 @@ class UPoly:
         return self.scale(self.field.invi(self.leading()))
 
     def divmod(self, other) -> tuple["UPoly", "UPoly"]:
-        F = self.field
-        if other.is_zero():
-            raise ValidationError("division by zero polynomial")
-        rem = list(self.coeffs)
-        db = other.degree
-        inv = F.invi(other.leading())
-        q = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            c = F.muli(rem[-1], inv)
-            off = len(rem) - 1 - db
-            q[off] = c
-            for t in range(db + 1):
-                rem[off + t] = F.subi(rem[off + t], F.muli(c, other.coeff(t)))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UPoly(F, q), UPoly(F, rem)
+        q, r = _pdivmod(self.coeffs, other.coeffs, self.field)
+        return UPoly(self.field, q), UPoly(self.field, r)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
 
     def gcd(self, other) -> "UPoly":
         """Monic greatest common divisor; gcd(f, 0) = monic(f)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return UPoly(self.field, _pgcd(self.coeffs, other.coeffs, self.field))
 
     def derivative(self) -> "UPoly":
         F = self.field
         return UPoly(F, [F.muli(i % F.p, self.coeff(i)) for i in range(1, len(self.coeffs))])
 
     def pow(self, n: int, mod: "UPoly | None" = None) -> "UPoly":
-        out = UPoly.one(self.field)
-        base = self if mod is None else self % mod
-        while n:
-            if n & 1:
-                out = out * base
-                if mod is not None:
-                    out = out % mod
-            base = base * base
-            if mod is not None:
-                base = base % mod
-            n >>= 1
-        return out
+        m = None if mod is None else mod.coeffs
+        return UPoly(self.field, _ppowmod(self.coeffs, n, m, self.field))
 
     def eval_enc(self, x_enc: int) -> int:
         F = self.field

@@ -280,6 +280,20 @@ class TestPerfectPower:
             assert rr >= r
             assert _form_pow(g, rr) == f
 
+    def test_near_power(self):
+        # the 6th power of a dense cubic in 4 variables over F_49 (degree 18),
+        # and the same with its middle coefficient changed: 1,304 terms
+        from fptlib.forms import _form_pow
+
+        K = FieldSpec(7, 2)
+        f = _form_pow(random_form(K, 4, 3, random.Random(1)), 6)
+        g, r = perfect_power_decompose(f.monic())
+        assert r == 6 and _form_pow(g, 6) == f.monic()
+        terms = dict(f.terms)
+        mid = sorted(terms)[len(terms) // 2]
+        terms[mid] = terms[mid] + 1
+        assert perfect_power_decompose(HomForm(K, 4, f.d, terms))[1] == 1
+
     def test_three_variable_power(self):
         K5 = FieldSpec(5)
         f = parse_form("(x1^2+x2*x3)^2", K5)

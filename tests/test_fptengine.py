@@ -286,6 +286,16 @@ class TestGeneral:
         res = fpt_general(parse_form("x^5+y^5", FieldSpec(7)))
         assert res.is_exact and res.value == Q(19, 49)
 
+    def test_default_depths(self):
+        # without e_cap, both entry points use depth 8 for binary forms and 4 otherwise
+        f = parse_form("x^2*y+x^3", FieldSpec(7))
+        res = fpt_general(f)
+        assert (res.low, res.high) == (Q(2882400, 7 ** 8), Q(2882401, 7 ** 8))
+        assert fpt_binary_exact(f) == res
+        g = parse_form("x1^2*x2+x3^3", FieldSpec(5))
+        res = fpt_general(g)
+        assert res == fpt_general(g, e_cap=4) and res.high - res.low == Q(1, 5 ** 4)
+
     def test_single_variable_forms(self):
         K = FieldSpec(5)
         res = fpt_general(parse_form("x^3", K))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fptlib import FieldSpec, UPoly, ValidationError
+from fptlib import FieldSpec, GFElem, UPoly, ValidationError
 from fptlib.gfpoly import _TABLE_MAX_Q
 
 
@@ -90,8 +90,55 @@ class TestFieldArithmetic:
                 assert emb(K4.muli(a, b)) == K16.muli(emb(a), emb(b))
                 assert emb(K4.addi(a, b)) == K16.addi(emb(a), emb(b))
 
+    @pytest.mark.parametrize("sub,top,table", [((2, 2), (2, 4), [0, 1, 6, 7]),
+                                               ((3, 2), (3, 4), [0, 1, 2, 42, 43, 44, 75, 76, 77])])
+    def test_embedding_takes_smallest_root(self, sub, top, table):
+        # map_to and roots_in(target) print through these tables
+        S, T = FieldSpec(*sub), FieldSpec(*top)
+        roots = [e for e in range(T.q)
+                 if sum(c * GFElem(T, e) ** i for i, c in enumerate(S.modulus)) == 0]
+        emb = T.embedding_from(S)
+        assert emb(S.gen().enc) == min(roots)
+        assert [emb(a) for a in range(S.q)] == table
+
+
+def _random_upoly(K, rng, deg):
+    return UPoly(K, [rng.randrange(K.q) for _ in range(deg)] + [rng.randrange(1, K.q)])
+
 
 class TestUPoly:
+    # F_7, F_8, F_9, and F_{3^7} above the table cutoff
+    ARITH_FIELDS = [(7, 1), (2, 3), (3, 2), (3, 7)]
+
+    @pytest.mark.parametrize("p,k", ARITH_FIELDS)
+    def test_divmod_identity(self, p, k):
+        K, rng = FieldSpec(p, k), random.Random(p * 10 + k)
+        for _ in range(30):
+            a, b = _random_upoly(K, rng, rng.randrange(9)), _random_upoly(K, rng, rng.randrange(6))
+            q, r = a.divmod(b)
+            assert a == q * b + r and r.degree < b.degree
+        with pytest.raises(ValidationError):
+            a.divmod(UPoly.zero(K))
+
+    @pytest.mark.parametrize("p,k", ARITH_FIELDS)
+    def test_pow_is_repeated_product(self, p, k):
+        K, rng = FieldSpec(p, k), random.Random(p * 10 + k + 1)
+        for _ in range(6):
+            a, m = _random_upoly(K, rng, rng.randrange(4)), _random_upoly(K, rng, rng.randrange(1, 5))
+            prod = UPoly.one(K)
+            for n in range(8):
+                assert a.pow(n) == prod
+                assert a.pow(n, mod=m) == prod % m
+                prod = prod * a
+
+    @pytest.mark.parametrize("p,k", ARITH_FIELDS)
+    def test_gcd_keeps_common_factor(self, p, k):
+        K, rng = FieldSpec(p, k), random.Random(p * 10 + k + 2)
+        for _ in range(20):
+            f, g, h = (_random_upoly(K, rng, rng.randrange(4)) for _ in range(3))
+            d = (f * g).gcd(f * h)
+            assert d.leading() == 1 and (d % f).is_zero()
+
     def test_gcd_examples(self):
         K7 = FieldSpec(7)
         assert UPoly(K7, (6, 0, 1)).gcd(UPoly(K7, (6, 1))) == UPoly(K7, (6, 1))
