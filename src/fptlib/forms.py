@@ -452,11 +452,13 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
 
     Packed exponents compare in a lex order, and the top and bottom terms of
     g^m are the m-th powers of g's top and bottom terms.  The root is built
-    from the top down: while H - g^m is led by c x^e, the next term of g is
-    c / (m lc(g)^(m-1)) x^(e - (m-1) top(g)).  Each step lowers the leading
-    term of H - g^m, so the loop ends.  The powers g^i for i < m, and
-    H - g^m, are kept and updated by (g + u)^i = sum_j C(i, j) u^j g^(i-j):
-    a monomial u makes each u^j g^(i-j) a shifted, scaled copy.
+    from the top down: while R = H - g^m is led by c x^e, the next term of g
+    is c / (m lc(g)^(m-1)) x^(e - (m-1) top(g)), and R's leading term drops.
+    R and g^i for i < m are kept and updated by (g + u)^i = sum_j C(i, j)
+    u^j g^(i-j), shifted and scaled copies for a monomial u; g^i takes u only
+    once another term follows.  Raises BudgetError once they hold more than
+    _WINDOW_BUDGET terms; when one update would make more copies than that,
+    R comes from _pow (under the same budget) for each new term instead.
     """
     top, low = max(H), min(H)
     if any(a % m for a in _unpack(top, n, s) + _unpack(low, n, s)):
@@ -464,33 +466,51 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
     c = _scalar_root(F, H[top], m)
     if c is None:
         return None
-    mul = F.muli
+    mul, p = F.muli, F.p
     E, bottom = top // m, low // m
     k = (m - 1) * E
     guard = (1 << s - 1) * sum(1 << s * i for i in range(n))
-    scale = F.invi(mul(m % F.p, F.powi(c, m - 1)))
-    G: dict = {}
-    P = [{0: 1}] + [{} for _ in range(m - 1)] + [dict(H)]     # g^i for i < m, and H - g^m
-    t, v = E, c
-    while True:
-        G[t] = v
-        vj = [1]
-        for _ in range(m):
-            vj.append(mul(vj[-1], v))
-        for i in range(m, 0, -1):               # P[i - j] is still the old g^(i-j)
-            for j in range(1, i + 1):
-                b = (comb(i, j) if i < m else -comb(i, j)) % F.p
-                if b:
-                    _addmul(P[i], P[i - j], mul(b, vj[j]), j * t, F)
-            if i == m:
-                # the powers below m are needed only if g takes another term
-                if not P[m]:
-                    return G
-                e = max(P[m])
-                # t = e - k needs every component of e at least k's, and t >= bottom
-                if (e + guard - k) & guard != guard or e - k < bottom:
-                    return None
-        t, v = e - k, mul(P[m][e], scale)
+    scale = F.invi(mul(m % p, F.powi(c, m - 1)))
+    G = {E: c}
+    R = {w: a for w, a in H.items() if w != top}    # H - (c x^E)^m
+    keep = m * (m + 1) // 2 <= _WINDOW_BUDGET
+    last = None                 # the newest term of g, not yet in the kept g^i for i < m
+
+    def grow(i: int, t: int, v: int) -> None:
+        # P[i] = g^i (or R) takes the term u = v x^t; P[i - j] is still the old g^(i-j)
+        nonlocal size
+        size -= len(P[i])
+        u = 1
+        for j in range(1, i + 1):
+            u = mul(u, v)
+            b = (comb(i, j) if i < m else -comb(i, j)) % p
+            if b:
+                _addmul(P[i], P[i - j], mul(b, u), j * t, F)
+        size += len(P[i])
+        if size > _WINDOW_BUDGET:
+            raise BudgetError(f"the powers of a candidate root exceed the budget of "
+                              f"{_WINDOW_BUDGET} terms", size, _WINDOW_BUDGET)
+
+    while R:
+        e = max(R)
+        # t = e - k needs every component of e at least k's, and t >= bottom
+        if (e + guard - k) & guard != guard or e - k < bottom:
+            return None
+        t = e - k
+        v = G[t] = mul(R[e], scale)
+        if keep:
+            if last is None:
+                P = [{i * E: F.powi(c, i)} for i in range(m)] + [R]
+                size = m - 1 + len(R)
+            else:
+                for i in range(m - 1, 0, -1):
+                    grow(i, *last)
+            grow(m, t, v)
+            last = (t, v)
+        else:
+            R = dict(H)
+            _addmul(R, _pow(G, m, 0, 0, mul, F.addi), p - 1, 0, F)
+    return G
 
 
 def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from .errors import ValidationError
-from .ratbase import require_prime
+from .ratbase import is_prime, require_prime
 
 _TABLE_MAX_Q = 512          # build a multiplication table up to this field size
 _ROOT_BRUTE_MAX_Q = 1_000_000  # exhaustive root search cutoff
@@ -125,18 +125,7 @@ def _is_irreducible(m: list[int], Fp: "FieldSpec") -> bool:
     if xp[k - 1] != x:
         return False
     # gcd(x^{p^{k/ell}} - x, m) = 1 for every prime ell | k
-    ell = 2
-    kk = k
-    while ell * ell <= kk:
-        if kk % ell == 0:
-            if not _coprime_at(k // ell):
-                return False
-            while kk % ell == 0:
-                kk //= ell
-        ell += 1
-    if kk > 1 and not _coprime_at(k // kk):
-        return False
-    return True
+    return all(_coprime_at(k // ell) for ell in range(2, k + 1) if k % ell == 0 and is_prime(ell))
 
 
 def _smallest_modulus(Fp: "FieldSpec", k: int) -> tuple[int, ...]:
@@ -311,12 +300,8 @@ class FieldSpec:
                 raise ValidationError("element belongs to a different field")
             return x
         if isinstance(x, int):
-            return GFElem(self, x % self.p if self.k == 1 else self._enc_from_int(x))
+            return GFElem(self, x % self.p)    # integers embed through the prime subfield
         return GFElem(self, self.enc_of(x))
-
-    def _enc_from_int(self, x: int) -> int:
-        # integers embed through the prime subfield
-        return x % self.p
 
     def zero(self) -> "GFElem":
         return GFElem(self, 0)
@@ -368,7 +353,8 @@ class FieldSpec:
             if self.q > _ROOT_BRUTE_MAX_Q:
                 raise ValidationError("embedding search too large for this field")
             # t goes to the smallest-encoding root of src's modulus
-            root = UPoly(self, src.modulus).roots_in()[0].enc
+            poly = UPoly(self, src.modulus)
+            root = next(e for e in range(self.q) if poly.eval_enc(e) == 0)
             table = [UPoly(self, src.coeffs_of(enc)).eval_enc(root) for enc in range(src.q)]
             self._embed_cache[key] = table
         return lambda enc: table[enc]

@@ -63,6 +63,15 @@ class TestFpt:
         assert code == 3 and out == ""
         assert "budget" in err
 
+    def test_root_powers_budget_exit_code(self, capsys):
+        # the candidate 20th root x12 + (x1+...+x11)/20 passes every term
+        # check; its powers g^1..g^19 would hold about 5*10^7 terms
+        linear = "+".join(f"x{i}" for i in range(1, 12))
+        code, out, err = run(capsys, "fpt", "--p", "101", "--n", "12",
+                             "--poly", f"x12^20+({linear})*x12^19+x1^20")
+        assert code == 3 and out == ""
+        assert "budget" in err
+
     def test_twelve_variable_quadric(self, capsys):
         quadric = ("x1^2+2*x1*x2+3*x1*x3+4*x1*x4+5*x2^2+6*x2*x3+x2*x4+2*x3^2+3*x3*x4+4*x4^2+"
                    + "+".join(f"x{i}^2" for i in range(5, 13)))

@@ -294,6 +294,14 @@ class TestPerfectPower:
         terms[mid] = terms[mid] + 1
         assert perfect_power_decompose(HomForm(K, 4, f.d, terms))[1] == 1
 
+    def test_high_power(self):
+        # m = 1023: one update of the kept powers would make more than 2^18
+        # copies, so H - g^m is recomputed for each term instead
+        K2 = FieldSpec(2)
+        g, r = perfect_power_decompose(parse_form("(x2+x3)^1023", K2, n=3))
+        assert r == 1023 and g == parse_form("x2+x3", K2, n=3)
+        assert perfect_power_decompose(parse_form("(x2+x3)^1023+x1^1023", K2, n=3))[1] == 1
+
     def test_three_variable_power(self):
         K5 = FieldSpec(5)
         f = parse_form("(x1^2+x2*x3)^2", K5)
