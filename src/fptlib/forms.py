@@ -513,6 +513,19 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
     return G
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in increasing order, by trial division up to sqrt(n)."""
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i * i < n:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
+
+
 def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
     """Maximal (g, r) with g^r = f exactly (r = 1 when f is not a proper power).
 
@@ -524,9 +537,7 @@ def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
         raise ValidationError("perfect-power decomposition requires a concrete form")
     F, p, n = f.field, f.field.p, f.n
     s = f.d.bit_length() + 1
-    for r in range(f.d, 1, -1):
-        if f.d % r:
-            continue
+    for r in _divisors(f.d)[:0:-1]:
         m, ps = r, 1
         while m % p == 0:
             m, ps = m // p, ps * p
@@ -671,25 +682,44 @@ class _Parser:
         # both factors are below every guard bit, so no exponent carries
         out = _mul(a, b, 0, 0, self.field.muli, self.field.addi)
         if any(w & self.guard for w in out):
-            top = 1 << _PARSE_BITS - 1
-            raise BudgetError(f"an exponent reaches 2^{_PARSE_BITS - 1}; exponents must "
-                              "stay below it", top, top - 1)
+            self._too_big()
         return out
+
+    @staticmethod
+    def _too_big():
+        top = 1 << _PARSE_BITS - 1
+        raise BudgetError(f"an exponent reaches 2^{_PARSE_BITS - 1}; exponents must "
+                          "stay below it", top, top - 1)
 
     def factor(self) -> dict:
         base = self.atom()
         while self.peek() == "^":
             self.pos += 1
-            expo = self.integer()
-            out = {0: 1}
-            while expo:
-                if expo & 1:
-                    out = self._times(out, base)
-                expo >>= 1
-                if expo:
-                    base = self._times(base, base)
-            base = out
+            base = self._power(base, self.integer())
         return base
+
+    def _power(self, base: dict, k: int) -> dict:
+        """base^k as the product of Frob^t(base^c) over the base-p digits c of
+        k = sum c p^t, where Frobenius multiplies exponents by p.
+
+        In a lex order with x_i first, the leading term of base^k is the k-th
+        power of base's, so x_i reaches k times its degree in base: the
+        exponent bound is checked once, before any product.
+        """
+        F = self.field
+        low = (1 << _PARSE_BITS) - 1
+        top = max(((w >> _PARSE_BITS * i) & low for w in base for i in range(self.max_var)),
+                  default=0)
+        if k * top >> _PARSE_BITS - 1:
+            self._too_big()
+        out = {0: 1}
+        while k:
+            k, c = divmod(k, F.p)
+            if c:
+                out = _mul(out, _pow(base, c, 0, 0, F.muli, F.addi), 0, 0, F.muli, F.addi)
+            if k:
+                base = {w * F.p: F.frobi(v) for w, v in base.items()}
+        return out
 
     def atom(self) -> dict:
         ch = self.peek()

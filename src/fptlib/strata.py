@@ -10,7 +10,10 @@ threshold of a reduced binary form if
 and additionally the truncation value must avoid the excluded open interval
 (1/p, 1/(p-1)).  These conditions are necessary, not sufficient; censuses
 below enumerate actual coefficient spaces and check observed values against
-the candidate list, raising an anomaly on any violation.
+the candidate list, raising an anomaly on any violation.  Reduced forms are
+counted by orbit under PGL_2(F_q) x| Gal(F_q/F_p), one threshold per orbit;
+non-reduced forms, whose answers still depend on the coordinates, are counted
+one by one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .forms import HomForm, in_frobenius_power, is_squarefree_binary, pow_mod_fr
 from .fptengine import fpt_binary_exact
 from .genericfpt import generic_fpt_binary
 from .gfpoly import FieldSpec, GFElem, UPoly
-from .ratbase import bms_excluded, min_e_two_p_pow, mult_order, require_prime, trunc
+from .ratbase import (bms_excluded, is_prime, min_e_two_p_pow, mult_order, require_prime,
+                      trunc)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -216,10 +220,124 @@ def _coeffs_of_index(g: int, d: int, q: int) -> list[int]:
     return coeffs
 
 
+def _primitive_element(K: FieldSpec) -> int:
+    """The smallest encoding that generates the multiplicative group."""
+    q = K.q
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    return next(a for a in range(1, q)
+                if all(K.powi(a, (q - 1) // r) != 1 for r in primes))
+
+
+class _OrbitWalk:
+    """Orbits of PGL_2(F_q) x| Gal(F_q/F_p) on the census indices of
+    degree-d binary forms.
+
+    The generators act on coefficient lists [a_0, ..., a_d] (a_i the
+    coefficient of x^(d-i) y^i): x -> x+y, x <-> y, y -> a*y for a primitive
+    (left out over F_2), and coefficientwise Frobenius for k > 1.  The first
+    two give the unipotent matrices over F_p; conjugating x -> x+y by y -> a*y gives x -> x + a^j y,
+    whose sums reach every c in F_q = F_p[a], so with the diagonal matrices
+    they generate GL_2(F_q).
+    """
+
+    def __init__(self, K: FieldSpec, d: int):
+        q = K.q
+        self.K, self.d, self.q = K, d, q
+        self.inv = [0] + [K.invi(c) for c in range(1, q)]
+        # the classes whose first nonzero coefficient comes before slot t
+        self.offset = [(q ** (d + 1) - q ** (d + 1 - t)) // (q - 1) for t in range(d + 1)]
+        self.moves = [self.shift, self.swap]
+        if q > 2:
+            a = _primitive_element(K)
+            self.powers = [K.powi(a, i) for i in range(d + 1)]
+            self.moves.append(self.scale)
+        if K.k > 1:
+            self.frob = [K.frobi(c) for c in range(q)]
+            self.moves.append(self.conjugate)
+
+    def shift(self, c: list[int]) -> list[int]:
+        # x -> x+y is a Taylor shift of f(x, 1) by one: additions only, and
+        # over F_p plain integer sums reduced once at the end
+        c, d, K = list(c), self.d, self.K
+        if K.k == 1:
+            for i in range(d):
+                for j in range(1, d + 1 - i):
+                    c[j] += c[j - 1]
+            return [a % K.p for a in c]
+        add = K.addi
+        for i in range(d):
+            for j in range(1, d + 1 - i):
+                c[j] = add(c[j], c[j - 1])
+        return c
+
+    @staticmethod
+    def swap(c: list[int]) -> list[int]:
+        return c[::-1]
+
+    def scale(self, c: list[int]) -> list[int]:
+        mul = self.K.muli
+        return [mul(w, a) for w, a in zip(self.powers, c)]
+
+    def conjugate(self, c: list[int]) -> list[int]:
+        frob = self.frob
+        return [frob[a] for a in c]
+
+    def index(self, c: list[int]) -> int:
+        """The census index of c's scalar class: the inverse of
+        _coeffs_of_index after dividing by the first nonzero coefficient."""
+        q = self.q
+        t = next(i for i, a in enumerate(c) if a)
+        g = 0
+        if c[t] == 1:
+            for a in c[t + 1:]:
+                g = g * q + a
+        else:
+            inv, mul = self.inv[c[t]], self.K.muli
+            for a in c[t + 1:]:
+                g = g * q + mul(inv, a)
+        return self.offset[t] + g
+
+    def mark(self, g: int, seen: bytearray) -> tuple[int, int]:
+        """Mark the orbit of index g in ``seen``, depth first, and return its
+        size and its smallest index."""
+        d, q, moves, index = self.d, self.q, self.moves, self.index
+        seen[g] = 1
+        stack, size, low = [g], 0, g
+        while stack:
+            h = stack.pop()
+            size += 1
+            if h < low:
+                low = h
+            c = _coeffs_of_index(h, d, q)
+            for move in moves:
+                j = index(move(c))
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
+        return size, low
+
+
 def _census_range(args) -> dict:
+    """Census of the indices in [start, stop).
+
+    Squarefreeness, and a reduced form's threshold, are invariant under linear
+    coordinate changes and Galois conjugation, because m^[p^e] is generated by
+    the p^e-th powers of any basis of m.  So each orbit of reduced forms is
+    walked from its first index and takes one squarefree test and one
+    threshold, counted with the orbit's size; with ``reduced_only`` each
+    orbit of non-reduced forms takes one squarefree test and is skipped
+    whole.  Otherwise non-reduced forms are computed one by one: their
+    answers depend on the coordinates (x^3*y gives 1/3, but x^3*(x+y) an
+    interval).  The first index of an orbit is its smallest, so witnesses
+    are the same as form by form.
+    A worker counts the orbits whose smallest index lies in its range, so
+    each orbit is counted once over all workers.
+    """
     (d, p, k, modulus, start, stop, reduced_only, e_cap, admissible) = args
     K = FieldSpec(p, k, modulus)
     q = K.q
+    walk = _OrbitWalk(K, d)
+    seen = bytearray((q ** (d + 1) - 1) // (q - 1))
     out = {
         "records": {},
         "unresolved": 0,
@@ -227,15 +345,22 @@ def _census_range(args) -> dict:
     }
     records = out["records"]
     for g in range(start, stop):
+        if seen[g]:
+            continue
         coeffs = _coeffs_of_index(g, d, q)
         f = HomForm.from_coeffs(K, coeffs)
         reduced = is_squarefree_binary(f)
-        if reduced_only and not reduced:
-            out["skipped"] += 1
+        weight = 1
+        if reduced or reduced_only:
+            weight, low = walk.mark(g, seen)
+            if low < start:
+                continue
+        if not reduced and reduced_only:
+            out["skipped"] += weight
             continue
         res = fpt_binary_exact(f, e_cap=e_cap)
         if not res.is_exact:
-            out["unresolved"] += 1
+            out["unresolved"] += weight
             continue
         v = res.value
         if reduced and admissible is not None and v not in admissible:
@@ -247,9 +372,9 @@ def _census_range(args) -> dict:
         if rec is None:
             rec = records[v] = ValueRecord()
         if reduced:
-            rec.count_reduced += 1
+            rec.count_reduced += weight
         else:
-            rec.count_nonreduced += 1
+            rec.count_nonreduced += weight
         if rec.witness_index is None or g < rec.witness_index:
             rec.witness_index = g
             rec.witness_coeffs = tuple(coeffs)
@@ -260,8 +385,9 @@ def _census_range(args) -> dict:
 def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 2,
            budget: int = DEFAULT_BUDGET, workers: int = 1) -> CensusReport:
     """Enumerate every degree-d binary form over F_{p^k} up to scalar (first
-    nonzero coefficient normalized to 1), compute each threshold, and
-    aggregate counts with the lexicographically first witness per value.
+    nonzero coefficient normalized to 1), compute each threshold (once per
+    orbit for reduced forms, see _census_range), and aggregate counts with the
+    lexicographically first witness per value.
 
     Reduced values are checked against the admissible candidate set on the
     fly; a violation raises AnomalyError.  Interval-only results are counted

@@ -50,10 +50,17 @@ class TestFpt:
         assert "budget" in err
 
     def test_huge_exponent_exit_code(self, capsys):
-        # refused after 31 squarings, not expanded one factor at a time
+        # refused before any product, not expanded one factor at a time
         code, out, err = run(capsys, "fpt", "--p", "5", "--poly", "x^4294967296*y")
         assert code == 3 and out == ""
         assert "2^31" in err
+
+    def test_huge_prime_degree(self, capsys):
+        # the perfect-power check tries only the divisors of d = 2^31 - 1
+        code, out, _ = run(capsys, "fpt", "--p", "5", "--n", "3",
+                           "--poly", "x1^2147483647+x2^2147483647")
+        assert code == 0
+        assert out.strip() == "(0, 1/625] (interval, bounded-fallback)"
 
     def test_perfect_power_check_budget_exit_code(self, capsys):
         # a septic in 8 variables is no power; its depth-4 interval needs a

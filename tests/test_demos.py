@@ -1,7 +1,4 @@
-"""Smoke test of the demos: each runs to exit code 0 and prints a known line.
-
-Demo 03 (a quintic census over F_7, several seconds) stays a manual check.
-"""
+"""Smoke test of the demos: each runs to exit code 0 and prints a known line."""
 
 import os
 import subprocess
@@ -15,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = [
     ("01_thresholds.py", "fpt(x^5+y^5) over F_7 = 19/49 (exact, truncation-candidate, L=2)"),
     ("02_generic_formula.py", "p= 7: 137/343  (truncation at place 3)"),
+    ("03_census.py", "137/343:  15120 forms, first witness x^5+x*y^4"),
     ("04_witness_search.py", "root a = 3*t over F_49; witness x^6+(3*t)*x^3*y^3+y^6"),
     ("05_lower_bounds.py", "d=10, p=3, e=2: x^10+x*y^9+y^10"),
 ]

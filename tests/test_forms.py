@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fptlib import (
+    BudgetError,
     FieldSpec,
     GFElem,
     HomForm,
@@ -368,14 +369,35 @@ class TestParser:
             parse_form("5*x^2", K)        # vanishes mod 5
 
     def test_powers_match_naive_expansion(self):
-        # "^k" by squaring against k naive multiplications; a depth e with
-        # p^e above the degree truncates nothing
+        # "^k" along the base-p digits of k against k naive multiplications;
+        # a depth e with p^e above the degree truncates nothing
         K7, K9 = FieldSpec(7), FieldSpec(3, 2)
         for base, K, n in [("x+y", K7, 2), ("x1+2*x2+x3", K7, 3), ("t*x+y", K9, 2)]:
             g = parse_form(base, K, n=n)
             for k in range(1, 13):
                 f = parse_form(f"({base})^{k}", K, n=n)
                 assert f.terms == naive_residue(g, k, 3)
+
+    def test_powers_along_base_p_digits(self):
+        # "^k" is a product of Frobenius twists of base^c over the base-p
+        # digits c of k
+        from fptlib.forms import _form_pow
+
+        linear = "+".join(f"x{i}" for i in range(1, 13))
+        K5, K9 = FieldSpec(5), FieldSpec(3, 2)
+        assert parse_form(f"({linear})^10", K5) == _form_pow(parse_form(linear, K5), 10)
+        for base, k in [("t*x1+x2+(t+1)*x3", 14), ("x^2+t*x*y+(2*t+1)*y^2", 23)]:
+            assert parse_form(f"({base})^{k}", K9) == _form_pow(parse_form(base, K9), k)
+
+    def test_power_exponent_bound_is_exact(self):
+        # k times the largest degree of a variable in the base must stay below 2^31
+        K = FieldSpec(5)
+        for text in ["(x^2*y)^1073741824", "(x^2+y)^1073741824"]:
+            with pytest.raises(BudgetError, match=r"2\^31"):
+                parse_form(text, K)
+        assert parse_form("(x^2*y)^1073741823", K).d == 3 * 1073741823
+        assert parse_form("(x*y)^2147483647", K).d == 2 * 2147483647
+        assert parse_form("(x^3-x^3+y)^1000000000", K).d == 1000000000
 
     def test_minus_and_implicit_product(self):
         K = FieldSpec(7)

@@ -151,6 +151,110 @@ class TestCensus:
                            frozenset({Q(1, 2)})))
 
 
+def _per_form_census(d, p, k, reduced_only, e_cap=2):
+    """The census one form at a time: a squarefree test and a threshold for
+    every index, and the first index of each value as its witness."""
+    from fptlib import HomForm
+    from fptlib.strata import CensusReport, ValueRecord, _coeffs_of_index
+
+    K = FieldSpec(p, k)
+    total = (K.q ** (d + 1) - 1) // (K.q - 1)
+    records, unresolved, skipped = {}, 0, 0
+    for g in range(total):
+        f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, K.q))
+        reduced = is_squarefree_binary(f)
+        if reduced_only and not reduced:
+            skipped += 1
+            continue
+        res = fpt_binary_exact(f, e_cap=e_cap)
+        if not res.is_exact:
+            unresolved += 1
+            continue
+        rec = records.setdefault(res.value, ValueRecord())
+        if reduced:
+            rec.count_reduced += 1
+        else:
+            rec.count_nonreduced += 1
+        if rec.witness_text is None:
+            rec.witness_text = f.as_text()
+    return CensusReport(d, p, k, reduced_only, e_cap, total, records, unresolved, skipped)
+
+
+class TestOrbitCensus:
+    @pytest.mark.parametrize("d,p,k", [(4, 3, 1), (5, 5, 1), (3, 3, 2), (4, 2, 2), (6, 2, 1)])
+    @pytest.mark.parametrize("reduced_only", [False, True])
+    def test_matches_per_form_census(self, d, p, k, reduced_only):
+        want = _per_form_census(d, p, k, reduced_only).to_dict()
+        assert census(d, p, k, reduced_only=reduced_only).to_dict() == want
+        assert census(d, p, k, reduced_only=reduced_only, workers=3).to_dict() == want
+
+    @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2)])
+    def test_threshold_invariant_under_gl2_and_frobenius(self, p, k):
+        # the orbit census counts a reduced form's threshold for its whole
+        # orbit: check it against random coordinate changes (and Frobenius)
+        from fptlib import HomForm, random_form, substitute_linear
+
+        K = FieldSpec(p, k)
+        rng = random.Random(100 * p + k)
+        checked = 0
+        while checked < 10:
+            f = random_form(K, 2, rng.randrange(3, 7), rng)
+            if not is_squarefree_binary(f):
+                continue
+            M = [[K.random_elem(rng) for _ in range(2)] for _ in range(2)]
+            if not M[0][0] * M[1][1] - M[0][1] * M[1][0]:
+                continue
+            images = [substitute_linear(f, M)]
+            if k > 1:
+                images.append(HomForm(K, 2, f.d, {e: c.frobenius() for e, c in f.terms.items()}))
+            want = fpt_binary_exact(f, e_cap=3)
+            for h in images:
+                got = fpt_binary_exact(h, e_cap=3)
+                assert (got.status, got.value, got.low, got.high) == \
+                    (want.status, want.value, want.low, want.high), (f, h)
+            checked += 1
+
+    def test_orbit_walk_round_trips_indices(self):
+        # every generator maps census indices to census indices, and over
+        # F_7 the 19,608 quintic classes fall into 73 orbits
+        from fptlib.strata import _coeffs_of_index, _OrbitWalk
+
+        K = FieldSpec(7)
+        walk = _OrbitWalk(K, 5)
+        total = (7 ** 6 - 1) // 6
+        for g in range(0, total, 97):
+            assert walk.index(_coeffs_of_index(g, 5, 7)) == g
+        seen = bytearray(total)
+        orbits = 0
+        for g in range(total):
+            if not seen[g]:
+                size, low = walk.mark(g, seen)
+                assert low == g and size > 0
+                orbits += 1
+        assert orbits == 73 and all(seen)
+
+    @pytest.mark.parametrize("d,p,k", [(4, 5, 1), (3, 3, 2), (4, 2, 2)])
+    def test_orbit_closed_under_gl2_and_frobenius(self, d, p, k):
+        # a walked orbit holds f∘M for every invertible M, and f's Frobenius
+        # conjugate: the generators reach all of PGL_2(F_q) x| Gal(F_q/F_p)
+        from fptlib import HomForm, random_form, substitute_linear
+        from fptlib.strata import _OrbitWalk
+
+        K = FieldSpec(p, k)
+        walk = _OrbitWalk(K, d)
+        rng = random.Random(d * p * k)
+        for _ in range(20):
+            f = random_form(K, 2, d, rng)
+            M = [[K.random_elem(rng) for _ in range(2)] for _ in range(2)]
+            if not M[0][0] * M[1][1] - M[0][1] * M[1][0]:
+                continue
+            seen = bytearray((K.q ** (d + 1) - 1) // (K.q - 1))
+            walk.mark(walk.index(f.coeff_list()), seen)
+            assert seen[walk.index(substitute_linear(f, M).coeff_list())]
+            conj = HomForm(K, 2, d, {e: c.frobenius() for e, c in f.terms.items()})
+            assert seen[walk.index(conj.coeff_list())]
+
+
 class TestWitnessSearch:
     def test_sextic_over_f5(self):
         w = trinomial_witness_search(5, 6, Q(1, 5), (0, 0, 3))
