@@ -42,6 +42,25 @@ def _emit(args, payload: dict, text: str, csv_rows: list[list[str]] | None = Non
         print(text)
 
 
+def _ints(text: str, expected: str, count: int | None = None) -> list[int]:
+    """``text`` as comma-separated integers, exactly ``count`` of them if
+    given; anything else is a ValidationError saying what was ``expected``."""
+    try:
+        vals = [int(t) for t in text.split(",")]
+    except ValueError:
+        vals = None
+    if vals is None or count not in (None, len(vals)):
+        raise ValidationError(f"{expected}, got {text!r}")
+    return vals
+
+
+def _workers(args) -> int:
+    """--workers, else $FPTLIB_WORKERS, else 1."""
+    if args.workers is not None:
+        return args.workers
+    return _ints(os.environ.get("FPTLIB_WORKERS", "1"), "FPTLIB_WORKERS must be an integer", 1)[0]
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -81,7 +100,7 @@ def cmd_candidates(args) -> int:
 
 def cmd_census(args) -> int:
     rep = census(args.d, args.p, args.k, reduced_only=args.reduced_only,
-                 e_cap=args.e_cap, budget=args.budget, workers=args.workers)
+                 e_cap=args.e_cap, budget=args.budget, workers=_workers(args))
     lines = [f"census d={args.d} over F_{args.p}^{args.k}: {rep.total} forms"]
     for v, rec in sorted(rep.records.items()):
         lines.append(f"  {v}: reduced={rec.count_reduced} other={rec.count_nonreduced}"
@@ -95,9 +114,7 @@ def cmd_census(args) -> int:
 
 def cmd_witness(args) -> int:
     target = _parse_fraction(args.target)
-    fam = tuple(int(t) for t in args.family.split(","))
-    if len(fam) != 3:
-        raise ValidationError("family must be i,j,m")
+    fam = tuple(_ints(args.family, "family must be i,j,m", 3))
     w = trinomial_witness_search(args.p, args.d, target, fam, k_max=args.k_max)
     if w is None:
         _emit(args, {"schema_version": 1, "found": False},
@@ -113,7 +130,8 @@ def cmd_verify_paper(args) -> int:
     """Check computed values for 3 <= d <= 8 against the reference tables."""
     if not 3 <= args.d <= 8:
         raise ValidationError("verify-paper supports degrees 3..8")
-    primes = [int(t) for t in args.primes.split(",")]
+    primes = _ints(args.primes, "--primes must be comma-separated integers")
+    workers = _workers(args)
     failures = []
     matrix = []
     for p in primes:
@@ -134,7 +152,7 @@ def cmd_verify_paper(args) -> int:
         observed = None
         if total <= args.budget:
             crep = census(args.d, p, 1, reduced_only=True, e_cap=2,
-                          budget=args.budget, workers=args.workers)
+                          budget=args.budget, workers=workers)
             observed = crep.reduced_values()
             unsound = observed - expected
             if unsound:
@@ -166,7 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fptlib",
         description="Exact F-pure thresholds of homogeneous forms over finite fields.",
     )
-    default_workers = int(os.environ.get("FPTLIB_WORKERS", "1"))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -205,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reduced-only", action="store_true")
     sp.add_argument("--e-cap", dest="e_cap", type=int, default=2)
     sp.add_argument("--budget", type=int, default=2_000_000)
-    sp.add_argument("--workers", type=int, default=default_workers)
+    sp.add_argument("--workers", type=int,
+                    help="threshold processes (default: $FPTLIB_WORKERS or 1)")
     common(sp)
     sp.set_defaults(func=cmd_census)
 
@@ -223,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--primes", required=True, help="comma-separated primes")
     sp.add_argument("--budget", type=int, default=200_000)
-    sp.add_argument("--workers", type=int, default=default_workers)
+    sp.add_argument("--workers", type=int,
+                    help="threshold processes (default: $FPTLIB_WORKERS or 1)")
     common(sp)
     sp.set_defaults(func=cmd_verify_paper)
     return ap

@@ -13,14 +13,18 @@ below enumerate actual coefficient spaces and check observed values against
 the candidate list, raising an anomaly on any violation.  Reduced forms are
 counted by orbit under PGL_2(F_q) x| Gal(F_q/F_p), one threshold per orbit;
 non-reduced forms, whose answers still depend on the coordinates, are counted
-one by one.
+one by one.  A census is one pass in index order: the orbit walk yields the
+classes, the thresholds come from ``map`` or, in order, from a worker pool,
+and the first class with a value is that value's witness.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .errors import AnomalyError, BudgetError, ValidationError
@@ -297,98 +301,66 @@ class _OrbitWalk:
                 g = g * q + mul(inv, a)
         return self.offset[t] + g
 
-    def mark(self, g: int, seen: bytearray) -> tuple[int, int]:
+    def mark(self, g: int, seen: bytearray) -> int:
         """Mark the orbit of index g in ``seen``, depth first, and return its
-        size and its smallest index."""
+        size."""
         d, q, moves, index = self.d, self.q, self.moves, self.index
         seen[g] = 1
-        stack, size, low = [g], 0, g
+        stack, size = [g], 0
         while stack:
             h = stack.pop()
             size += 1
-            if h < low:
-                low = h
             c = _coeffs_of_index(h, d, q)
             for move in moves:
                 j = index(move(c))
                 if not seen[j]:
                     seen[j] = 1
                     stack.append(j)
-        return size, low
+        return size
 
 
-def _census_range(args) -> dict:
-    """Census of the indices in [start, stop).
+def _classes(K: FieldSpec, d: int, reduced_only: bool):
+    """The census classes in increasing order of their first index, as
+    (index, form, weight, reduced, needs_threshold).
 
     Squarefreeness, and a reduced form's threshold, are invariant under linear
     coordinate changes and Galois conjugation, because m^[p^e] is generated by
     the p^e-th powers of any basis of m.  So each orbit of reduced forms is
-    walked from its first index and takes one squarefree test and one
-    threshold, counted with the orbit's size; with ``reduced_only`` each
-    orbit of non-reduced forms takes one squarefree test and is skipped
-    whole.  Otherwise non-reduced forms are computed one by one: their
-    answers depend on the coordinates (x^3*y gives 1/3, but x^3*(x+y) an
-    interval).  The first index of an orbit is its smallest, so witnesses
-    are the same as form by form.
-    A worker counts the orbits whose smallest index lies in its range, so
-    each orbit is counted once over all workers.
+    one class, weighted by its size; with ``reduced_only`` so is each orbit
+    of non-reduced forms, which needs no threshold.  Otherwise each
+    non-reduced form is its own class: its answer depends on the coordinates
+    (x^3*y gives 1/3, but x^3*(x+y) an interval).  An orbit is met first at
+    its smallest index, so each class's index is the smallest in it.
     """
-    (d, p, k, modulus, start, stop, reduced_only, e_cap, admissible) = args
-    K = FieldSpec(p, k, modulus)
-    q = K.q
     walk = _OrbitWalk(K, d)
-    seen = bytearray((q ** (d + 1) - 1) // (q - 1))
-    out = {
-        "records": {},
-        "unresolved": 0,
-        "skipped": 0,
-    }
-    records = out["records"]
-    for g in range(start, stop):
+    seen = bytearray((K.q ** (d + 1) - 1) // (K.q - 1))
+    for g in range(len(seen)):
         if seen[g]:
             continue
-        coeffs = _coeffs_of_index(g, d, q)
-        f = HomForm.from_coeffs(K, coeffs)
+        f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, K.q))
         reduced = is_squarefree_binary(f)
-        weight = 1
-        if reduced or reduced_only:
-            weight, low = walk.mark(g, seen)
-            if low < start:
-                continue
-        if not reduced and reduced_only:
-            out["skipped"] += weight
-            continue
-        res = fpt_binary_exact(f, e_cap=e_cap)
-        if not res.is_exact:
-            out["unresolved"] += weight
-            continue
-        v = res.value
-        if reduced and admissible is not None and v not in admissible:
-            raise AnomalyError(
-                f"census d={d} p={p} k={k}: reduced form {f.as_text()} has "
-                f"threshold {v} outside the admissible candidate set {sorted(admissible)}"
-            )
-        rec = records.get(v)
-        if rec is None:
-            rec = records[v] = ValueRecord()
-        if reduced:
-            rec.count_reduced += weight
-        else:
-            rec.count_nonreduced += weight
-        if rec.witness_index is None or g < rec.witness_index:
-            rec.witness_index = g
-            rec.witness_coeffs = tuple(coeffs)
-            rec.witness_text = f.as_text()
-    return out
+        weight = walk.mark(g, seen) if reduced or reduced_only else 1
+        yield g, f, weight, reduced, reduced or not reduced_only
+
+
+def _threshold(cls, e_cap: int):
+    """The class with its exact threshold, or None for an interval or for a
+    class that needs none."""
+    if not cls[4]:
+        return cls, None
+    res = fpt_binary_exact(cls[1], e_cap=e_cap)
+    return cls, res.value if res.is_exact else None
 
 
 def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 2,
            budget: int = DEFAULT_BUDGET, workers: int = 1) -> CensusReport:
     """Enumerate every degree-d binary form over F_{p^k} up to scalar (first
     nonzero coefficient normalized to 1), compute each threshold (once per
-    orbit for reduced forms, see _census_range), and aggregate counts with the
+    orbit for reduced forms, see _classes), and aggregate counts with the
     lexicographically first witness per value.
 
+    One pass walks the orbits in index order; with ``workers`` > 1 a fork
+    pool computes the thresholds, in order, while the walk stays here.
     Reduced values are checked against the admissible candidate set on the
     fly; a violation raises AnomalyError.  Interval-only results are counted
     as unresolved.
@@ -402,42 +374,38 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
     if total > budget:
         raise BudgetError(f"enumeration needs {total} forms but budget is {budget}; "
                           f"rerun with budget >= {total}", required=total, budget=budget)
-    rep = candidates(d, p)
-    admissible = frozenset(rep.admissible_values()) | {Fraction(2, d)}
-    args = []
-    nw = max(1, workers)
-    step = -(-total // nw)
-    for w in range(nw):
-        start, stop = w * step, min((w + 1) * step, total)
-        if start >= stop:
-            continue
-        args.append((d, p, k, K.modulus, start, stop, reduced_only, e_cap, admissible))
-    if nw == 1:
-        partials = [_census_range(args[0])]
-    else:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(nw) as pool:
-            partials = pool.map(_census_range, args)
+    admissible = frozenset(candidates(d, p).admissible_values()) | {Fraction(2, d)}
+    threshold = partial(_threshold, e_cap=e_cap)
     records: dict[Fraction, ValueRecord] = {}
-    unresolved = 0
-    skipped = 0
-    for part in partials:
-        unresolved += part["unresolved"]
-        skipped += part["skipped"]
-        for v, rec in part["records"].items():
-            cur = records.get(v)
-            if cur is None:
-                records[v] = rec
+    unresolved = skipped = 0
+    if workers > 1:
+        import multiprocessing as mp   # not at the top: it adds ~12 ms to every import
+    with mp.get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
+        classes = _classes(K, d, reduced_only)
+        results = map(threshold, classes) if pool is None else \
+            pool.imap(threshold, classes, chunksize=16)
+        for (g, f, weight, reduced, needs), v in results:
+            if not needs:
+                skipped += weight
                 continue
-            cur.count_reduced += rec.count_reduced
-            cur.count_nonreduced += rec.count_nonreduced
-            if rec.witness_index is not None and (
-                cur.witness_index is None or rec.witness_index < cur.witness_index
-            ):
-                cur.witness_index = rec.witness_index
-                cur.witness_coeffs = rec.witness_coeffs
-                cur.witness_text = rec.witness_text
+            if v is None:
+                unresolved += weight
+                continue
+            if reduced and v not in admissible:
+                raise AnomalyError(
+                    f"census d={d} p={p} k={k}: reduced form {f.as_text()} has "
+                    f"threshold {v} outside the admissible candidate set {sorted(admissible)}"
+                )
+            rec = records.get(v)
+            if rec is None:
+                # classes come in index order: the first with v is its witness
+                rec = records[v] = ValueRecord(witness_index=g,
+                                               witness_coeffs=tuple(f.coeff_list()),
+                                               witness_text=f.as_text())
+            if reduced:
+                rec.count_reduced += weight
+            else:
+                rec.count_nonreduced += weight
     return CensusReport(d, p, k, reduced_only, e_cap, total, records,
                         unresolved, skipped)
 

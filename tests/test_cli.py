@@ -148,6 +148,15 @@ class TestCensus:
         assert code == 3
         assert "budget" in err
 
+    def test_bad_workers_variable(self, capsys, monkeypatch):
+        # only the commands that take --workers read FPTLIB_WORKERS
+        monkeypatch.setenv("FPTLIB_WORKERS", "abc")
+        code, _, _ = run(capsys, "fpt", "--p", "7", "--poly", "x^5+y^5")
+        assert code == 0
+        code, _, err = run(capsys, "census", "--d", "3", "--p", "3")
+        assert code == 2
+        assert err.startswith("error: FPTLIB_WORKERS")
+
     def test_reduced_only_json(self, capsys):
         code, out, _ = run(capsys, "census", "--d", "3", "--p", "2",
                            "--reduced-only", "--format", "json")
@@ -176,6 +185,12 @@ class TestWitness:
                            "--target", "1/5", "--family", "1,0,3")
         assert code == 2
 
+    def test_family_not_integers(self, capsys):
+        code, _, err = run(capsys, "witness", "--d", "6", "--p", "5",
+                           "--target", "1/5", "--family", "a,b,c")
+        assert code == 2
+        assert err.startswith("error: family")
+
 
 class TestVerifyPaper:
     def test_quartics_pass(self, capsys):
@@ -194,6 +209,15 @@ class TestVerifyPaper:
         payload = json.loads(out)
         assert {row["p"]: row["status"] for row in payload["matrix"]} == \
             {2: "PASS", 3: "PASS"}
+        _, out2, _ = run(capsys, "verify-paper", "--d", "6", "--primes", "2,3",
+                         "--format", "json", "--workers", "2")
+        assert out2 == out
+
+    @pytest.mark.parametrize("primes", ["2,x", ""])
+    def test_primes_not_integers(self, capsys, primes):
+        code, _, err = run(capsys, "verify-paper", "--d", "5", "--primes", primes)
+        assert code == 2
+        assert err.startswith("error: --primes")
 
     def test_rejects_out_of_range_degree(self, capsys):
         code, _, err = run(capsys, "verify-paper", "--d", "9", "--primes", "2")
@@ -205,7 +229,7 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "census", "--d", "4", "--p", "3",
                          "--format", "json")
         _, out2, _ = run(capsys, "census", "--d", "4", "--p", "3",
-                         "--format", "json")
+                         "--format", "json", "--workers", "2")
         assert out1 == out2
 
     def test_reports_carry_no_floats(self, capsys):

@@ -141,14 +141,32 @@ class TestCensus:
         assert rep.reduced_values() == {Q(2, 9), Q(7, 27), Q(23, 81)}
         assert rep.records[Q(7, 27)].witness_text == "x^7+y^7"
 
-    def test_soundness_check_wiring(self):
-        # feeding the range worker a wrong admissible set must raise loudly
-        from fptlib import AnomalyError
-        from fptlib.strata import _census_range
+    def test_soundness_check_wiring(self, monkeypatch):
+        # a wrong admissible set must raise loudly: with no admissible
+        # truncation only 2/d = 1/2 is allowed, and the reduced 1/3 is not
+        from fptlib import AnomalyError, strata
 
+        monkeypatch.setattr(strata, "candidates",
+                            lambda d, p: strata.CandidateReport(d, p, (), Q(1, 2), 1))
         with pytest.raises(AnomalyError):
-            _census_range((4, 3, 1, FieldSpec(3).modulus, 0, 121, True, 2,
-                           frozenset({Q(1, 2)})))
+            census(4, 3, 1, reduced_only=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_index_walked_once(self, monkeypatch, workers):
+        # the orbit walk stays in this process whatever the number of
+        # workers, and its orbits partition the indices
+        from fptlib.strata import _OrbitWalk
+
+        sizes = []
+        mark = _OrbitWalk.mark
+
+        def counted(self, g, seen):
+            sizes.append(mark(self, g, seen))
+            return sizes[-1]
+
+        monkeypatch.setattr(_OrbitWalk, "mark", counted)
+        rep = census(5, 5, reduced_only=True, workers=workers)
+        assert sum(sizes) == rep.total
 
 
 def _per_form_census(d, p, k, reduced_only, e_cap=2):
@@ -228,8 +246,11 @@ class TestOrbitCensus:
         orbits = 0
         for g in range(total):
             if not seen[g]:
-                size, low = walk.mark(g, seen)
-                assert low == g and size > 0
+                # the first unseen index is the smallest in its orbit
+                orbit = bytearray(total)
+                size = walk.mark(g, orbit)
+                assert orbit.index(1) == g and size == orbit.count(1)
+                walk.mark(g, seen)
                 orbits += 1
         assert orbits == 73 and all(seen)
 
