@@ -1,10 +1,11 @@
 """Hunting explicit witnesses for small strata.
 
 For a target truncation N/p^e, the one-parameter family
-x^i y^j (x^{2m} + a x^m y^m + y^{2m}) is raised to the N-th power with the
-parameter left symbolic; the coefficients surviving the Frobenius-power
-truncation are polynomials in a that must all vanish.  Any root of their gcd
-that keeps the specialized form squarefree is a certified witness.
+x^i y^j (x^{2m} + a x^m y^m + y^{2m}) is raised to the N-th power: each
+coefficient that survives the Frobenius-power truncation is a sum of
+multinomials C(N, k2) C(N-k2, k3) a^{k2} mod p, a polynomial in a that must
+vanish.  Any root of their gcd that keeps the specialized form squarefree is
+a certified witness.
 """
 
 from fractions import Fraction as Q

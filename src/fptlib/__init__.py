@@ -8,7 +8,7 @@ The package computes, with exact rational arithmetic throughout:
   monomials, linear forms and perfect powers in any arity, and certified
   intervals elsewhere;
 - the closed-form generic (maximal) threshold for given (n, d, p);
-- candidate filters, exhaustive censuses of coefficient spaces, parametric
+- candidate filters, exhaustive censuses of coefficient spaces, trinomial
   witness searches, and sharp lower-bound witnesses.
 """
 
@@ -48,6 +48,7 @@ from .strata import (
     hnwz_flags,
     lower_bound_reduced,
     sharp_witness,
+    trinomial_obstructions,
     trinomial_witness_search,
     verify_genL1,
 )
@@ -67,7 +68,8 @@ __all__ = [
     "GenericFptReport", "generic_fpt", "generic_fpt_binary",
     "check_keylemma_condition", "sample_max_fpt",
     "CandidateEntry", "CandidateReport", "CensusReport", "WitnessResult",
-    "hnwz_flags", "candidates", "census", "trinomial_witness_search",
+    "hnwz_flags", "candidates", "census", "trinomial_obstructions",
+    "trinomial_witness_search",
     "verify_genL1", "lower_bound_reduced", "sharp_witness",
     "__version__",
 ]

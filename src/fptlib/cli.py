@@ -55,10 +55,13 @@ def _ints(text: str, expected: str, count: int | None = None) -> list[int]:
 
 
 def _workers(args) -> int:
-    """--workers, else $FPTLIB_WORKERS, else 1."""
-    if args.workers is not None:
-        return args.workers
-    return _ints(os.environ.get("FPTLIB_WORKERS", "1"), "FPTLIB_WORKERS must be an integer", 1)[0]
+    """--workers, else $FPTLIB_WORKERS, else 1; at least 1."""
+    w = args.workers
+    if w is None:
+        w = _ints(os.environ.get("FPTLIB_WORKERS", "1"), "FPTLIB_WORKERS must be an integer", 1)[0]
+    if w < 1:
+        raise ValidationError(f"need at least 1 worker, got {w}")
+    return w
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -20,8 +20,8 @@ G = 2^(s-1) at least both the deepest bound p^e and deg f, so that no field
 carries into the next.  A product w leaves the window (some a_i >= bound)
 exactly when (w + sum (G - bound) << s*i) & sum G << s*i is nonzero, and
 Frobenius on exponents is w * p.  Coefficients are field encodings
-(FieldSpec.muli/addi/frobi), or UPoly for a form with one symbolic parameter.
-The text parser evaluates on the same packing with the same product.
+(FieldSpec.muli/addi/frobi).  The text parser evaluates on the same packing
+with the same product.
 
 Packed exponents compare as integers in a lex order (x_n most significant),
 and a lex order is a monomial order, so the perfect-power check takes m-th
@@ -49,13 +49,12 @@ class HomForm:
     """A nonzero homogeneous polynomial of degree d in n variables.
 
     ``terms`` maps exponent vectors (tuples of length n summing to d) to
-    nonzero coefficients.  Coefficients are GFElem in concrete mode, or
-    UPoly in one symbolic parameter in parametric mode.
+    nonzero GFElem coefficients.
     """
 
-    __slots__ = ("n", "d", "field", "terms", "parametric", "_key", "_squarefree")
+    __slots__ = ("n", "d", "field", "terms", "_key", "_squarefree")
 
-    def __init__(self, field: FieldSpec, n: int, d: int, terms: dict, parametric: bool = False):
+    def __init__(self, field: FieldSpec, n: int, d: int, terms: dict):
         if n < 1:
             raise ValidationError(f"need n >= 1 variables, got {n}")
         if d < 1:
@@ -67,23 +66,15 @@ class HomForm:
                 raise ValidationError(f"bad exponent vector {exps}")
             if sum(exps) != d:
                 raise ValidationError(f"exponent vector {exps} does not have degree {d}")
-            if parametric:
-                if not isinstance(c, UPoly):
-                    c = UPoly.const(field, c)
-                if c.is_zero():
-                    continue
-            else:
-                c = field.elem(c)
-                if not c:
-                    continue
-            clean[exps] = c
+            c = field.elem(c)
+            if c:
+                clean[exps] = c
         if not clean:
             raise ValidationError("the zero form is not allowed")
         self.field = field
         self.n = n
         self.d = d
         self.terms = clean
-        self.parametric = parametric
         self._key = None
         self._squarefree = None
 
@@ -119,10 +110,7 @@ class HomForm:
     # -- basics ---------------------------------------------------------------
     def key(self):
         if self._key is None:
-            if self.parametric:
-                items = tuple(sorted((e, c.coeffs) for e, c in self.terms.items()))
-            else:
-                items = tuple(sorted((e, c.enc) for e, c in self.terms.items()))
+            items = tuple(sorted((e, c.enc) for e, c in self.terms.items()))
             self._key = (self.n, self.d, self.field.p, self.field.k, items)
         return self._key
 
@@ -136,23 +124,18 @@ class HomForm:
         return len(self.terms) == 1
 
     def coeff(self, exps):
-        exps = tuple(exps)
-        if exps in self.terms:
-            return self.terms[exps]
-        return UPoly.zero(self.field) if self.parametric else self.field.zero()
+        return self.terms.get(tuple(exps)) or self.field.zero()
 
     def coeff_list(self) -> list[int]:
-        """Binary form as [a_0..a_d] encodings (concrete mode only)."""
-        if self.n != 2 or self.parametric:
-            raise ValidationError("coeff_list requires a concrete binary form")
+        """Binary form as [a_0..a_d] encodings."""
+        if self.n != 2:
+            raise ValidationError("coeff_list requires a binary form")
         out = [0] * (self.d + 1)
         for (ax, ay), c in self.terms.items():
             out[ay] = c.enc
         return out
 
     def scale(self, c) -> "HomForm":
-        if self.parametric:
-            raise ValidationError("scale on parametric forms is unsupported")
         ce = self.field.elem(c)
         if not ce:
             raise ValidationError("cannot scale a form by zero")
@@ -163,24 +146,6 @@ class HomForm:
         """Normalize so the lexicographically largest exponent has coefficient 1."""
         lead = max(self.terms)
         return self.scale(self.terms[lead].inverse())
-
-    def specialize(self, a) -> "HomForm":
-        """Evaluate the parameter of a parametric form at ``a`` (may change field)."""
-        if not self.parametric:
-            raise ValidationError("specialize only applies to parametric forms")
-        if isinstance(a, GFElem):
-            K = a.field
-        else:
-            K = self.field
-            a = K.elem(a)
-        terms = {}
-        for exps, poly in self.terms.items():
-            acc = poly.map_to(K).eval_enc(a.enc)
-            if acc:
-                terms[exps] = GFElem(K, acc)
-        if not terms:
-            raise ValidationError("specialization vanishes identically")
-        return HomForm(K, self.n, self.d, terms)
 
     def as_text(self) -> str:
         """Render in the CLI grammar: '+'-joined terms c*x1^a*...; x,y for n=2."""
@@ -217,14 +182,13 @@ class FrobTruncPoly:
     """Residue class modulo (x_1^{p^e}, ..., x_n^{p^e}): only monomials with
     every exponent < p^e are stored; everything else is the ideal."""
 
-    __slots__ = ("field", "n", "e", "terms", "parametric")
+    __slots__ = ("field", "n", "e", "terms")
 
-    def __init__(self, field: FieldSpec, n: int, e: int, terms: dict, parametric: bool = False):
+    def __init__(self, field: FieldSpec, n: int, e: int, terms: dict):
         self.field = field
         self.n = n
         self.e = e
         self.terms = terms
-        self.parametric = parametric
 
     @property
     def is_zero(self) -> bool:
@@ -246,12 +210,13 @@ def _unpack(w: int, n: int, s: int) -> tuple:
     return tuple((w >> s * i) & low for i in range(n))
 
 
-def _mul(A: dict, B: dict, add: int, mask: int, mul, plus) -> dict:
+def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
     """A*B without the terms whose packed exponent w has (w + add) & mask.
 
     Coefficients are nonzero on input, so a first product never vanishes.
     Raises BudgetError once the product holds more than _WINDOW_BUDGET terms.
     """
+    mul, plus = F.muli, F.addi
     out: dict = {}
     get = out.get
     for w1, c1 in A.items():
@@ -287,16 +252,16 @@ def _addmul(out: dict, A: dict, c: int, shift: int, F: FieldSpec) -> None:
             del out[w]
 
 
-def _pow(A: dict, c: int, add: int, mask: int, mul, plus) -> dict:
+def _pow(A: dict, c: int, add: int, mask: int, F: FieldSpec) -> dict:
     """A^c for c >= 1, by squaring, without the terms _mul drops."""
     piece = None
     while True:
         if c & 1:
-            piece = A if piece is None else _mul(piece, A, add, mask, mul, plus)
+            piece = A if piece is None else _mul(piece, A, add, mask, F)
         c >>= 1
         if not c:
             return piece
-        A = _mul(A, A, add, mask, mul, plus)
+        A = _mul(A, A, add, mask, F)
 
 
 class ResidueLadder:
@@ -312,37 +277,21 @@ class ResidueLadder:
     def __init__(self, f: HomForm, depth: int, guard: int, bounded: bool = True):
         F = f.field
         self.field, self.n, self.p, self.depth = F, f.n, F.p, depth
-        self.parametric = f.parametric
         self.s = s = (guard - 1).bit_length() + 1
         self.ones = sum(1 << s * i for i in range(f.n))
         self.mask = (1 << s - 1) * self.ones if bounded else 0
-        if f.parametric:
-            self.mul, self.plus = UPoly.__mul__, UPoly.__add__
-            self.frob = self._frob_upoly
-            self.f = {_pack(e, s): c for e, c in f.terms.items()}
-            self.terms = {0: UPoly.one(F)}
-        else:
-            self.mul, self.plus = F.muli, F.addi
-            self.frob = F.frobi if F.k > 1 else None
-            self.f = {_pack(e, s): c.enc for e, c in f.terms.items()}
-            self.terms = {0: 1}
-
-    def _frob_upoly(self, a: UPoly) -> UPoly:
-        # (sum u_s a^s)^p = sum u_s^p a^(s*p)
-        p, F = self.p, self.field
-        out = [0] * (len(a.coeffs) * p)
-        for s, c in enumerate(a.coeffs):
-            out[s * p] = F.frobi(c)
-        return UPoly(F, out)
+        self.frob = F.frobi if F.k > 1 else None
+        self.f = {_pack(e, s): c.enc for e, c in f.terms.items()}
+        self.terms = {0: 1}
 
     def times_f(self, c: int) -> None:
         """Multiply the residue by f^c (by squaring) at the current depth."""
         if not c or not self.terms:
             return
-        mask, mul, plus = self.mask, self.mul, self.plus
+        mask, F = self.mask, self.field
         add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if mask else 0
         f = {w: v for w, v in self.f.items() if not (w + add) & mask}
-        self.terms = _mul(self.terms, _pow(f, c, add, mask, mul, plus), add, mask, mul, plus)
+        self.terms = _mul(self.terms, _pow(f, c, add, mask, F), add, mask, F)
 
     def rise(self, c: int) -> None:
         """One ladder step: raise to the p-th power, then multiply by f^c."""
@@ -361,10 +310,8 @@ class ResidueLadder:
         return self
 
     def residue(self) -> dict:
-        """The residue keyed by exponent tuples, with GFElem or UPoly values."""
+        """The residue keyed by exponent tuples, with GFElem values."""
         n, s, F = self.n, self.s, self.field
-        if self.parametric:
-            return {_unpack(w, n, s): v for w, v in self.terms.items()}
         return {_unpack(w, n, s): GFElem(F, v) for w, v in self.terms.items()}
 
 
@@ -390,7 +337,7 @@ def _power_ladder(f: HomForm, N: int, e: int) -> ResidueLadder:
 def pow_mod_frobenius(f: HomForm, N: int, e: int) -> FrobTruncPoly:
     """Residue of f^N modulo (x_1^{p^e}, ..., x_n^{p^e})."""
     lad = _power_ladder(f, N, e)
-    return FrobTruncPoly(f.field, f.n, e, lad.residue(), f.parametric)
+    return FrobTruncPoly(f.field, f.n, e, lad.residue())
 
 
 def in_frobenius_power(f: HomForm, N: int, e: int) -> bool:
@@ -405,10 +352,7 @@ def coeff_of_power(f: HomForm, N: int, j: int):
     if N < 0 or not 0 <= j <= f.d * N:
         raise ValidationError(f"index j={j} out of range [0, {f.d * N}]")
     lad = ResidueLadder(f, 0, f.d * N + 1, bounded=False).climb(N)
-    c = lad.terms.get(_pack((f.d * N - j, j), lad.s))
-    if f.parametric:
-        return c or UPoly.zero(f.field)
-    return GFElem(f.field, c or 0)
+    return GFElem(f.field, lad.terms.get(_pack((f.d * N - j, j), lad.s), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +363,6 @@ def is_squarefree_binary(f: HomForm) -> bool:
     """True iff the binary form has no repeated linear factor over the closure."""
     if f.n != 2:
         raise ValidationError("squarefree test requires a binary form")
-    if f.parametric:
-        raise ValidationError("squarefree test requires a concrete form")
     if f._squarefree is None:
         # f at y = 1 is x^v * h(x) with h(0) != 0: x has multiplicity v and
         # y has d - v - deg h
@@ -509,7 +451,7 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
             last = (t, v)
         else:
             R = dict(H)
-            _addmul(R, _pow(G, m, 0, 0, mul, F.addi), p - 1, 0, F)
+            _addmul(R, _pow(G, m, 0, 0, F), p - 1, 0, F)
     return G
 
 
@@ -533,8 +475,6 @@ def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
     m: f = (g^m)^(p^s), so g^m is the coefficientwise p^s-th root of f, which
     exists exactly when p^s divides every exponent, and g is its m-th root.
     """
-    if f.parametric:
-        raise ValidationError("perfect-power decomposition requires a concrete form")
     F, p, n = f.field, f.field.p, f.n
     s = f.d.bit_length() + 1
     for r in _divisors(f.d)[:0:-1]:
@@ -589,8 +529,6 @@ def _det(field: FieldSpec, rows: list[list[int]]) -> int:
 
 def substitute_linear(f: HomForm, T) -> HomForm:
     """Compose f with the substitution x_i -> sum_j T[i][j] x_j (T invertible)."""
-    if f.parametric:
-        raise ValidationError("substitution on parametric forms is unsupported")
     F, n = f.field, f.n
     rows = [[F.elem(T[i][j]).enc for j in range(n)] for i in range(n)]
     if _det(F, rows) == 0:
@@ -602,7 +540,7 @@ def substitute_linear(f: HomForm, T) -> HomForm:
         term = {0: 1}
         for i, a in enumerate(exps):
             for _ in range(a):
-                term = _mul(term, linear[i], 0, 0, F.muli, F.addi)
+                term = _mul(term, linear[i], 0, 0, F)
         _addmul(out, term, c.enc, 0, F)
     out = {_unpack(w, n, s): GFElem(F, c) for w, c in out.items()}
     return HomForm(F, n, f.d, out)
@@ -680,7 +618,7 @@ class _Parser:
 
     def _times(self, a: dict, b: dict) -> dict:
         # both factors are below every guard bit, so no exponent carries
-        out = _mul(a, b, 0, 0, self.field.muli, self.field.addi)
+        out = _mul(a, b, 0, 0, self.field)
         if any(w & self.guard for w in out):
             self._too_big()
         return out
@@ -716,7 +654,7 @@ class _Parser:
         while k:
             k, c = divmod(k, F.p)
             if c:
-                out = _mul(out, _pow(base, c, 0, 0, F.muli, F.addi), 0, 0, F.muli, F.addi)
+                out = _mul(out, _pow(base, c, 0, 0, F), 0, 0, F)
             if k:
                 base = {w * F.p: F.frobi(v) for w, v in base.items()}
         return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AnomalyError, ValidationError
+from .errors import ValidationError
 from .forms import (HomForm, ResidueLadder, in_frobenius_power, is_squarefree_binary,
                     perfect_power_decompose)
 from .ratbase import mult_order
@@ -88,17 +88,11 @@ class FptResult:
         return f"({self.low}, {self.high}] (interval, {self.method})"
 
 
-def _check_form(f: HomForm) -> None:
-    if f.parametric:
-        raise ValidationError("threshold computations need a concrete form")
-
-
 def nu(f: HomForm, e: int, certs: list | None = None) -> int:
     """Largest N with f^N outside the e-th Frobenius power.
 
     Monotone in N, so binary search on [0, ceil(min(n,d)/d * p^e) + 1].
     """
-    _check_form(f)
     if e < 1:
         raise ValidationError("depth e must be >= 1")
     p = f.field.p
@@ -167,7 +161,6 @@ def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
     the rest fall back to a certified interval at depth ``e_cap``, by default
     8 for binary forms and 4 otherwise.
     """
-    _check_form(f)
     if e_cap is None:
         e_cap = 8 if f.n == 2 else 4
     if f.is_monomial():
@@ -211,16 +204,7 @@ def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
             return FptResult("exact", "truncation-candidate",
                              value=Fraction(NL, p ** L), L=L,
                              certificates=tuple(certs))
-    # no truncation passed: the classification leaves only 2/d; sanity-check
-    # the membership that value implies before asserting it
-    ladder.times_f(1)
-    member = not ladder.terms
-    certs.append(MembershipCheck(NL + 1, estar, member))
-    if not member:
-        raise AnomalyError(
-            f"form {f.as_text()} over F_{f.field.q}: every truncation test up to "
-            f"L={estar} failed yet f^{NL + 1} is outside depth {estar}; certificates "
-            f"{[c.to_dict() for c in certs]}"
-        )
+    # no truncation passed: the classification leaves only 2/d.  f^(N_L + 1)
+    # needs no test: d(N_L + 1) > 2p^L puts it inside depth L by degree alone
     return FptResult("exact", "generic-two-over-d", value=lam,
                      certificates=tuple(certs))

@@ -127,8 +127,10 @@ def sample_max_fpt(n: int, d: int, p: int, k: int, trials: int,
     """Empirical maximum threshold over uniformly random degree-d forms.
 
     Returns (max exact value seen, number of samples attaining it).  Samples
-    that only admit an interval are skipped for the maximum; with n = 2 and
-    p not dividing the reduced denominator of 2/d every sample is exact.
+    that only admit an interval are skipped for the maximum.  With n = 2 and
+    p not dividing the reduced denominator of 2/d every squarefree sample is
+    exact, but one with a repeated factor need not be: x^2*y*(x+y) over F_3
+    gives (4/9, 5/9] at e_cap 2.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")

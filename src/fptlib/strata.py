@@ -28,12 +28,13 @@ from functools import partial
 from math import gcd
 
 from .errors import AnomalyError, BudgetError, ValidationError
-from .forms import HomForm, in_frobenius_power, is_squarefree_binary, pow_mod_frobenius
+from .forms import HomForm, in_frobenius_power, is_squarefree_binary
+from .forms import pow_mod_frobenius  # noqa: F401  kept bound: fptbench/tracer.py wraps it here
 from .fptengine import fpt_binary_exact
 from .genericfpt import generic_fpt_binary
 from .gfpoly import FieldSpec, GFElem, UPoly
-from .ratbase import (bms_excluded, is_prime, min_e_two_p_pow, mult_order, require_prime,
-                      trunc)
+from .ratbase import (bms_excluded, is_prime, lucas_binom, min_e_two_p_pow, mult_order,
+                      require_prime, trunc)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -367,6 +368,8 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
     """
     if d < 2:
         raise ValidationError("census needs d >= 2")
+    if workers < 1:
+        raise ValidationError(f"need at least 1 worker, got {workers}")
     require_prime(p)
     K = FieldSpec(p, k)
     q = K.q
@@ -411,7 +414,7 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
 
 
 # ---------------------------------------------------------------------------
-# parametric witness search
+# trinomial witness search
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -455,48 +458,62 @@ def _target_depth(d: int, p: int, target: Fraction) -> tuple[int, int]:
     raise ValidationError(f"target {target} is not a truncation of {lam} base {p}")
 
 
+def trinomial_obstructions(p: int, family: tuple[int, int, int], N: int, e: int) -> dict:
+    """The coefficients of f^N outside (x^{p^e}, y^{p^e}) for the family
+    f = x^i y^j (x^{2m} + a x^m y^m + y^{2m}), as nonzero polynomials in a
+    over F_p keyed by exponent pairs.
+
+    A term of f^N takes k2 middle factors and k3 factors y^{2m}; with
+    s = k2 + 2 k3 it is x^{iN+m(2N-s)} y^{jN+ms}, and its coefficient is the
+    sum of the multinomials C(N, k2) C(N-k2, k3) a^{k2} mod p (Lucas).
+    """
+    i, j, m = family
+    F, B = FieldSpec(p, 1), p ** e
+    out = {}
+    for s in range(2 * N + 1):
+        exps = (i * N + m * (2 * N - s), j * N + m * s)
+        if max(exps) >= B:
+            continue
+        cs = [0] * (min(s, N) + 1)
+        for k2 in range(s % 2, len(cs), 2):
+            cs[k2] = lucas_binom(N, k2, p) * lucas_binom(N - k2, (s - k2) // 2, p)
+        ob = UPoly(F, cs)
+        if ob:
+            out[exps] = ob
+    return out
+
+
 def trinomial_witness_search(p: int, d: int, target: Fraction, family: tuple[int, int, int],
                              k_max: int = 3) -> WitnessResult | None:
     """Search the one-parameter family x^i y^j (x^{2m} + a x^m y^m + y^{2m})
     for a specialization with threshold forced down to ``target``.
 
-    The residue of f^N modulo the target Frobenius power is computed with the
-    parameter left symbolic; the surviving coefficients are polynomials in a
-    that must all vanish, so any witness is a root of their gcd.  Roots are
-    searched in F_{p^kappa} for kappa = 1..k_max and only specializations
-    that stay squarefree are accepted.  None means no witness at this scale,
-    never a proof of nonexistence.
+    The coefficients of f^N that survive the target Frobenius power are
+    polynomials in a (trinomial_obstructions) that must all vanish, so any
+    witness is a root of their gcd.  Roots are searched in F_{p^kappa} for
+    kappa = 1..k_max and only specializations that stay squarefree are
+    accepted.  None means no witness at this scale, never a proof of
+    nonexistence.
     """
     require_prime(p)
     i, j, m = family
     if i < 0 or j < 0 or m < 1 or i + j + 2 * m != d:
         raise ValidationError(f"family {family} does not have degree {d}")
+    if k_max < 1:
+        raise ValidationError(f"need k_max >= 1, got {k_max}")
     N, e = _target_depth(d, p, Fraction(target))
-    base = FieldSpec(p, 1)
-    a_poly = UPoly(base, (0, 1))
-    one = UPoly.one(base)
-    terms = {
-        (i + 2 * m, j): one,
-        (i + m, j + m): a_poly,
-        (i, j + 2 * m): one,
-    }
-    fam = HomForm(base, 2, d, terms, parametric=True)
-    residue = pow_mod_frobenius(fam, N, e)
-    obstructions = list(residue.terms.values())
     G: UPoly | None = None
-    for ob in obstructions:
+    for ob in trinomial_obstructions(p, family, N, e).values():
         G = ob if G is None else G.gcd(ob)
     if G is not None and G.degree == 0:
         return None  # a nonzero constant obstruction: no value of a works
     for kappa in range(1, k_max + 1):
         K = FieldSpec(p, kappa)
-        if G is None:
-            cands = list(K.elements())
-        else:
-            cands = G.roots_in(K)
-        for a0 in cands:
-            form = fam.specialize(a0)
-            if form.d != d or not is_squarefree_binary(form):
+        for a0 in K.elements() if G is None else G.roots_in(K):
+            coeffs = [0] * (d + 1)          # indexed by the power of y
+            coeffs[j], coeffs[j + m], coeffs[j + 2 * m] = 1, a0, 1
+            form = HomForm.from_coeffs(K, coeffs)
+            if not is_squarefree_binary(form):
                 continue
             if not in_frobenius_power(form, N, e):
                 raise AnomalyError(
@@ -532,8 +549,8 @@ def verify_genL1(p: int, d: int, i: int, j: int, g: HomForm) -> bool:
         raise ValidationError(f"need 0 <= i, j < p/N = {p}/{N}")
     if i + j not in (d - 2, d - 1):
         raise ValidationError(f"i + j = {i + j} must be d-2 or d-1")
-    if g.n != 2 or g.parametric:
-        raise ValidationError("g must be a concrete binary form")
+    if g.n != 2:
+        raise ValidationError("g must be a binary form")
     if g.d != d - i - j:
         raise ValidationError(f"deg g = {g.d} but x^{i} y^{j} g must have degree {d}")
     if not g.coeff((g.d, 0)) or not g.coeff((0, g.d)):

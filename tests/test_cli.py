@@ -157,6 +157,17 @@ class TestCensus:
         assert code == 2
         assert err.startswith("error: FPTLIB_WORKERS")
 
+    @pytest.mark.parametrize("argv,env", [(["--workers", "0"], None),
+                                          (["--workers", "-2"], None), ([], "0")],
+                             ids=["zero", "negative", "variable"])
+    def test_workers_below_one(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("FPTLIB_WORKERS", env)
+        for cmd in (["census", "--d", "3", "--p", "3"], ["verify-paper", "--d", "3", "--primes", "3"]):
+            code, out, err = run(capsys, *cmd, *argv)
+            assert code == 2 and not out
+            assert err.startswith("error: need at least 1 worker")
+
     def test_reduced_only_json(self, capsys):
         code, out, _ = run(capsys, "census", "--d", "3", "--p", "2",
                            "--reduced-only", "--format", "json")
@@ -190,6 +201,13 @@ class TestWitness:
                            "--target", "1/5", "--family", "a,b,c")
         assert code == 2
         assert err.startswith("error: family")
+
+    def test_k_max_below_one(self, capsys):
+        # F_5^0 would search nothing, so it is refused rather than reported
+        code, out, err = run(capsys, "witness", "--d", "6", "--p", "5",
+                             "--target", "1/5", "--family", "0,0,3", "--k-max", "0")
+        assert code == 2 and not out
+        assert err.startswith("error: need k_max >= 1")
 
 
 class TestVerifyPaper:

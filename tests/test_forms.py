@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from fptlib import (
     pow_mod_frobenius,
     random_form,
     substitute_linear,
+    trinomial_obstructions,
 )
 
 # ---------------------------------------------------------------------------
@@ -149,20 +150,6 @@ class TestCoeffOfPower:
         with pytest.raises(ValidationError):
             coeff_of_power(f, 2, 11)
 
-    def test_parametric_squared_trinomial(self):
-        # (x^6 + a x^3 y^3 + y^6)^2: coefficient of x^3 y^9 is 2a
-        K = FieldSpec(3)
-        a = UPoly(K, (0, 1))
-        f = HomForm(K, 2, 6, {(6, 0): UPoly.one(K), (3, 3): a, (0, 6): UPoly.one(K)},
-                    parametric=True)
-        c = coeff_of_power(f, 2, 9)
-        assert c.degree <= 2
-        assert c == UPoly(K, (0, 2))
-        # constant term of the x^6 y^6 coefficient matches direct expansion:
-        # a^2 + 2 has constant 2
-        c2 = coeff_of_power(f, 2, 6)
-        assert c2 == UPoly(K, (2, 0, 1))
-
     def test_small_N_generic_coefficients_nonzero(self):
         # for N < p the coefficient of x^(dN-j) y^j in f^N is nonzero as a
         # function of the coefficients of f: some sample realizes each index
@@ -176,25 +163,33 @@ class TestCoeffOfPower:
                 for j in range(0, d * N + 1):
                     assert any(coeff_of_power(f, N, j) for f in samples)
 
-    def test_parametric_specialization_commutes(self):
-        rng = random.Random(15)
-        K = FieldSpec(5)
-        a = UPoly(K, (0, 1))
-        f = HomForm(K, 2, 6, {(6, 0): UPoly.one(K), (3, 3): a, (0, 6): UPoly.one(K)},
-                    parametric=True)
-        for _ in range(10):
-            N = rng.randrange(0, 12)
-            e = rng.randrange(1, 3)
-            a0 = rng.randrange(5)
-            sym = pow_mod_frobenius(f, N, e)
-            evaluated = {w: c(a0) for w, c in sym.terms.items()}
-            evaluated = {w: c for w, c in evaluated.items() if c}
-            try:
-                conc = f.specialize(K.elem(a0))
-            except ValidationError:
-                continue  # the specialization vanished identically
-            direct = pow_mod_frobenius(conc, N, e)
-            assert evaluated == dict(direct.terms.items())
+
+class TestTrinomialObstructions:
+    def test_squared_trinomial(self):
+        # (x^6 + a x^3 y^3 + y^6)^2 over F_3, untruncated at depth 3 (27 > 12):
+        # x^3 y^9 has 2a and x^6 y^6 has a^2 + 2
+        K = FieldSpec(3)
+        obs = trinomial_obstructions(3, (0, 0, 3), 2, 3)
+        assert obs[(3, 9)] == UPoly(K, (0, 2))
+        assert obs[(6, 6)] == UPoly(K, (2, 0, 1))
+        assert sorted(obs) == [(3 * s, 12 - 3 * s) for s in range(5)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_evaluation_commutes_with_specialization(self, k):
+        # the obstructions evaluated at a are the residue of the member at a,
+        # for every a in F_5 and F_25
+        K = FieldSpec(5, k)
+        for i, j, m in [(0, 0, 3), (1, 2, 1), (2, 0, 2)]:
+            d = i + j + 2 * m
+            for N, e in product(range(12), (1, 2)):
+                obs = trinomial_obstructions(5, (i, j, m), N, e)
+                obs = {w: c.map_to(K) for w, c in obs.items()}
+                for a in K.elements():
+                    cs = [0] * (d + 1)
+                    cs[j], cs[j + m], cs[j + 2 * m] = 1, a, 1
+                    direct = pow_mod_frobenius(HomForm.from_coeffs(K, cs), N, e)
+                    evaluated = {w: GFElem(K, c.eval_enc(a.enc)) for w, c in obs.items()}
+                    assert {w: c for w, c in evaluated.items() if c} == direct.terms
 
 
 class TestSquarefreeBinary:

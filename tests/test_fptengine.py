@@ -12,6 +12,7 @@ from fptlib import (
     fpt_bounds,
     fpt_general,
     fpt_monomial,
+    in_frobenius_power,
     nu,
     parse_form,
     substitute_linear,
@@ -216,12 +217,20 @@ class TestBinaryExact:
             assert res2.is_exact and res2.value == res1.value
 
     def test_anomaly_not_triggered_on_sound_inputs(self):
-        # generic-two-over-d endpoints exercise the sanity membership check
+        # a generic-two-over-d trail holds only the failed truncation tests:
+        # f^(N+1) after the last truncation N/p^L lies inside depth L by
+        # degree alone, since d(N + 1) > 2p^L
+        res = fpt_binary_exact(parse_form("x*y*(x+y)", FieldSpec(7)))
+        assert [(c.N, c.e, c.member) for c in res.certificates] == [(4, 1, False)]
         for p in (5, 7, 11, 13):
             for text in ("x*y*(x+y)", "x^3+x*y^2+y^3"):
                 f = parse_form(text, FieldSpec(p))
                 res = fpt_binary_exact(f)
                 assert res.is_exact
+                if res.method == "generic-two-over-d":
+                    assert not any(c.member for c in res.certificates)
+                    last = res.certificates[-1]
+                    assert in_frobenius_power(f, last.N + 1, last.e)
 
     def test_rejects_bad_inputs(self):
         K = FieldSpec(5)

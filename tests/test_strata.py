@@ -122,6 +122,11 @@ class TestCensus:
         parallel = census(4, 3, 1, workers=3)
         assert serial.to_dict() == parallel.to_dict()
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValidationError):
+            census(3, 3, 1, workers=workers)
+
     def test_workers_agree_over_extension_field(self):
         serial = census(3, 3, 2)
         parallel = census(3, 3, 2, workers=2)
@@ -315,6 +320,8 @@ class TestWitnessSearch:
             trinomial_witness_search(5, 6, Q(1, 5), (1, 0, 3))
         with pytest.raises(ValidationError):
             trinomial_witness_search(5, 6, Q(1, 7), (0, 0, 3))
+        with pytest.raises(ValidationError):
+            trinomial_witness_search(5, 6, Q(1, 5), (0, 0, 3), k_max=0)
 
 
 class TestVerifyGenL1:
