@@ -5,8 +5,8 @@ The package computes, with exact rational arithmetic throughout:
 - residues of powers f^N modulo Frobenius powers (x_1^{p^e}, ..., x_n^{p^e})
   and the membership tests built on them;
 - exact thresholds for binary forms (complete classification-driven engine),
-  monomials, linear forms and perfect powers in any arity, and certified
-  intervals elsewhere;
+  monomials, linear forms, forms with a dominant linear factor and perfect
+  powers in any arity, and certified intervals elsewhere;
 - the closed-form generic (maximal) threshold for given (n, d, p);
 - candidate filters, exhaustive censuses of coefficient spaces, trinomial
   witness searches, and sharp lower-bound witnesses.

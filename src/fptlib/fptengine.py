@@ -10,8 +10,15 @@ squarefree form of degree d is either 2/d or a truncation of the base-p
 expansion of 2/d, so testing the truncation numerators from the shallowest
 depth up pins it down; passing at depth L while failing at L-1 leaves
 exactly one admissible value.  Monomials, linear forms and perfect powers
-reduce by explicit rules in any number of variables; everything else falls
-back to a certified interval of width p^-e_cap.
+reduce by explicit rules in any number of variables, and so does a form with
+a dominant linear factor: f = l^a g with l rational, l not dividing g and
+2a >= d has threshold 1/a.  Everything else falls back to a certified
+interval of width p^-e_cap.
+
+Every binary answer is invariant under linear coordinate changes and Galois
+conjugation: the dominant-factor rule covers every binary monomial, the
+other rules and the interval (nu/p^e, (nu+1)/p^e] do not see coordinates,
+since m^[p^e] is generated by the p^e-th powers of any basis of m.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import AnomalyError, ValidationError
 from .forms import (HomForm, ResidueLadder, in_frobenius_power, is_squarefree_binary,
                     perfect_power_decompose)
+from .gfpoly import UPoly
 from .ratbase import mult_order
 
 
@@ -41,8 +49,9 @@ class MembershipCheck:
 class FptResult:
     """Exact value or certified half-open interval, with the test trail.
 
-    ``method`` is one of: monomial, power-rule, prime-power-degree,
-    truncation-candidate, generic-two-over-d, bounded-fallback.
+    ``method`` is one of: monomial, dominant-factor, power-rule,
+    prime-power-degree, truncation-candidate, generic-two-over-d,
+    bounded-fallback.
     """
 
     status: str                       # "exact" | "interval"
@@ -136,6 +145,60 @@ def _is_prime_power_degree(d: int, p: int) -> bool:
     return m == 2 or (m == 1 and d > 1)
 
 
+def _dominant_factor(f: HomForm) -> int:
+    """The multiplicity a of an F_q-rational linear factor l of f with
+    2a >= d and l not dividing f/l^a, or 0 if there is none.
+
+    Coordinates are read off the exponents in any arity.  A binary form
+    that is not squarefree is also searched for a factor x - r y, r != 0:
+    a root r of h(x) = f(x, 1) / x^v of multiplicity a >= 2 is a root of
+    gcd(h, h'), whose degree is then at least a - 1.
+    """
+    d, F = f.d, f.field
+    a = max(min(e[i] for e in f.terms) for i in range(f.n))
+    if 2 * a >= d:
+        return a
+    if f.n != 2:
+        return 0
+    need = (d + 1) // 2
+    cs = f.coeff_list()[::-1]           # f(x, 1) in ascending powers of x
+    h = UPoly(F, cs[min(e[0] for e in f.terms):])
+    if h.degree < need:
+        return 0
+    g = h.gcd(h.derivative())
+    if g.degree < need - 1:
+        return 0
+    for r in g.roots_in():
+        lin, a = UPoly(F, (F.negi(r.enc), 1)), 0
+        quo, rem = h.divmod(lin)
+        while not rem:
+            h, a = quo, a + 1
+            quo, rem = h.divmod(lin)
+        if 2 * a >= d:
+            return a
+    return 0
+
+
+def _dominant_result(f: HomForm, a: int) -> FptResult:
+    """fpt(l^a g) = 1/a for 2a >= d, with its certificates at the first depth
+    e with p^e > a: f^(N-1) outside and f^N inside for N = ceil(p^e/a).
+
+    Take l = x_1.  The terms of f^N of least x_1-degree are x_1^(aN)
+    g(0, x_2, ...)^N, and the lex-leading one has every exponent at most
+    max(a, d - a) N = aN, so f^N is outside whenever aN < p^e; and f^N lies
+    in (x_1^(p^e)) whenever aN >= p^e.  Both bounds tend to 1/a.
+    """
+    p, e = f.field.p, 1
+    while p ** e <= a:
+        e += 1
+    N = -(-p ** e // a)
+    certs = tuple(MembershipCheck(M, e, in_frobenius_power(f, M, e)) for M in (N - 1, N))
+    if certs[0].member or not certs[1].member:
+        raise AnomalyError(f"{f.as_text()} has a dominant factor of multiplicity {a}, "
+                           f"but f^{N - 1} and f^{N} at depth {e} contradict 1/{a}")
+    return FptResult("exact", "dominant-factor", value=Fraction(1, a), certificates=certs)
+
+
 def _interval_result(f: HomForm, e_cap: int) -> FptResult:
     certs: list[MembershipCheck] = []
     lo, hi = fpt_bounds(f, e_cap, certs)
@@ -153,8 +216,10 @@ def fpt_binary_exact(f: HomForm, e_cap: int | None = None) -> FptResult:
 def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
     """Threshold in any number of variables, exact wherever the rules reach.
 
-    Dispatch: monomials and linear forms by the explicit rule; perfect powers
-    by fpt(g^r) = fpt(g)/r; squarefree binary forms of degree p^t or 2p^t
+    Dispatch: monomials and linear forms by the explicit rule; forms with a
+    dominant linear factor (a coordinate x_i^a, or for binary forms any
+    rational l^a, dividing f with 2a >= d) get 1/a; other perfect powers by
+    fpt(g^r) = fpt(g)/r; squarefree binary forms of degree p^t or 2p^t
     get 2/d; other squarefree binary forms with p coprime to the reduced
     denominator b of 2/d are resolved by testing the truncation numerators
     N_L for L = 1..ord_b(p) (smallest passing depth wins, no pass means 2/d);
@@ -171,6 +236,9 @@ def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
         return FptResult("exact", "monomial", value=Fraction(1))
     # a squarefree form of degree >= 2 is never a proper power
     if f.n != 2 or not is_squarefree_binary(f):
+        a = _dominant_factor(f)
+        if a:
+            return _dominant_result(f, a)
         g, r = perfect_power_decompose(f.monic())
         if r > 1:
             return fpt_general(g, e_cap).scaled(r)

@@ -25,7 +25,8 @@ from .errors import ValidationError
 from .ratbase import is_prime, require_prime
 
 _TABLE_MAX_Q = 512          # build a multiplication table up to this field size
-_ROOT_BRUTE_MAX_Q = 1_000_000  # exhaustive root search cutoff
+_ROOT_BRUTE_MAX_Q = 121     # exhaustive root search up to here; the gcd with u^q - u wins from 125
+_EMBED_MAX_Q = 1_000_000    # largest field searched exhaustively for an embedding
 _MUL_TABLES: dict = {}      # (p, k, modulus) -> multiplication table
 
 
@@ -350,7 +351,7 @@ class FieldSpec:
         key = (src.p, src.k, src.modulus)
         table = self._embed_cache.get(key)
         if table is None:
-            if self.q > _ROOT_BRUTE_MAX_Q:
+            if self.q > _EMBED_MAX_Q:
                 raise ValidationError("embedding search too large for this field")
             # t goes to the smallest-encoding root of src's modulus
             poly = UPoly(self, src.modulus)
@@ -614,16 +615,8 @@ class UPoly:
             return []
         if K.q <= _ROOT_BRUTE_MAX_Q:
             return [GFElem(K, e) for e in range(K.q) if f.eval_enc(e) == 0]
-        # strip repeated roots cheaply: work with the squarefree part
-        d = f.derivative()
-        if d.is_zero():
-            # f = h^p with h the coefficient-wise p-th root; same roots
-            h = UPoly(K, [K.pth_rooti(f.coeff(i)) for i in range(0, len(f.coeffs), K.p)])
-            return h.roots_in(K)
-        g = f.gcd(d)
-        if g.degree > 0:
-            f = f.divmod(g)[0]
-        # in-field part: gcd(f, u^q - u)
+        # u^q - u is the squarefree product of u - r over r in K, so the gcd
+        # keeps each in-field root once, whatever its multiplicity in f
         xq = UPoly.x(K).pow(K.q, mod=f)
         lin = f.gcd(xq - UPoly.x(K))
         rng = random.Random(0xF9)

@@ -10,12 +10,12 @@ threshold of a reduced binary form if
 and additionally the truncation value must avoid the excluded open interval
 (1/p, 1/(p-1)).  These conditions are necessary, not sufficient; censuses
 below enumerate actual coefficient spaces and check observed values against
-the candidate list, raising an anomaly on any violation.  Reduced forms are
-counted by orbit under PGL_2(F_q) x| Gal(F_q/F_p), one threshold per orbit;
-non-reduced forms, whose answers still depend on the coordinates, are counted
-one by one.  A census is one pass in index order: the orbit walk yields the
-classes, the thresholds come from ``map`` or, in order, from a worker pool,
-and the first class with a value is that value's witness.
+the candidate list, raising an anomaly on any violation.  Every binary
+answer is an orbit invariant, so forms are counted by orbit under
+PGL_2(F_q) x| Gal(F_q/F_p), one squarefree test and one threshold per orbit.
+A census is one pass in index order: the orbit walk yields the classes, the
+thresholds come from ``map`` or, in order, from a worker pool, and the first
+class with a value is that value's witness.
 """
 
 from __future__ import annotations
@@ -225,6 +225,15 @@ def _coeffs_of_index(g: int, d: int, q: int) -> list[int]:
     return coeffs
 
 
+def _table(q: int, op) -> list:
+    """op on every pair of encodings in [0, q), one row per first operand:
+    rows of bytes up to q = 256, of 4-byte integers above."""
+    if q <= 256:
+        return [bytes(op(a, b) for b in range(q)) for a in range(q)]
+    from array import array     # not at the top: loading it adds 0.1 MB to every process
+    return [array("I", [op(a, b) for b in range(q)]) for a in range(q)]
+
+
 def _primitive_element(K: FieldSpec) -> int:
     """The smallest encoding that generates the multiplicative group."""
     q = K.q
@@ -242,37 +251,46 @@ class _OrbitWalk:
     (left out over F_2), and coefficientwise Frobenius for k > 1.  The first
     two give the unipotent matrices over F_p; conjugating x -> x+y by y -> a*y gives x -> x + a^j y,
     whose sums reach every c in F_q = F_p[a], so with the diagonal matrices
-    they generate GL_2(F_q).
+    they generate GL_2(F_q).  Field products, and sums for k > 1, come from
+    q x q tables.
     """
 
     def __init__(self, K: FieldSpec, d: int):
         q = K.q
         self.K, self.d, self.q = K, d, q
-        self.inv = [0] + [K.invi(c) for c in range(1, q)]
+        self.mul = _table(q, K.muli)
+        self.div = [None] + [self.mul[K.invi(c)] for c in range(1, q)]
         # the classes whose first nonzero coefficient comes before slot t
         self.offset = [(q ** (d + 1) - q ** (d + 1 - t)) // (q - 1) for t in range(d + 1)]
+        # over F_p the shift packs c into one integer, slots of s bits: its
+        # sums stay below p 2^(d+1)
+        self.s = K.p.bit_length() + d + 1
         self.moves = [self.shift, self.swap]
         if q > 2:
             a = _primitive_element(K)
-            self.powers = [K.powi(a, i) for i in range(d + 1)]
+            self.scales = [self.mul[K.powi(a, i)] for i in range(d + 1)]
             self.moves.append(self.scale)
         if K.k > 1:
+            self.add = _table(q, K.addi)
             self.frob = [K.frobi(c) for c in range(q)]
             self.moves.append(self.conjugate)
 
     def shift(self, c: list[int]) -> list[int]:
-        # x -> x+y is a Taylor shift of f(x, 1) by one: additions only, and
-        # over F_p plain integer sums reduced once at the end
-        c, d, K = list(c), self.d, self.K
-        if K.k == 1:
-            for i in range(d):
-                for j in range(1, d + 1 - i):
-                    c[j] += c[j - 1]
-            return [a % K.p for a in c]
-        add = K.addi
+        # x -> x+y is a Taylor shift of f(x, 1) by one: additions only.  Over
+        # F_p it is Horner's rule for f(X + 1) on the packed integer, with
+        # X = 2^s, reduced once at the end
+        d = self.d
+        if self.K.k == 1:
+            s, p = self.s, self.K.p
+            acc = 0
+            for a in c:
+                acc += (acc << s) + a
+            mask = (1 << s) - 1
+            return [(acc >> s * i & mask) % p for i in range(d, -1, -1)]
+        c, add = list(c), self.add
         for i in range(d):
             for j in range(1, d + 1 - i):
-                c[j] = add(c[j], c[j - 1])
+                c[j] = add[c[j]][c[j - 1]]
         return c
 
     @staticmethod
@@ -280,8 +298,7 @@ class _OrbitWalk:
         return c[::-1]
 
     def scale(self, c: list[int]) -> list[int]:
-        mul = self.K.muli
-        return [mul(w, a) for w, a in zip(self.powers, c)]
+        return [row[a] for row, a in zip(self.scales, c)]
 
     def conjugate(self, c: list[int]) -> list[int]:
         frob = self.frob
@@ -291,63 +308,60 @@ class _OrbitWalk:
         """The census index of c's scalar class: the inverse of
         _coeffs_of_index after dividing by the first nonzero coefficient."""
         q = self.q
-        t = next(i for i, a in enumerate(c) if a)
+        t = 0
+        while not c[t]:
+            t += 1
         g = 0
         if c[t] == 1:
             for a in c[t + 1:]:
                 g = g * q + a
         else:
-            inv, mul = self.inv[c[t]], self.K.muli
+            row = self.div[c[t]]
             for a in c[t + 1:]:
-                g = g * q + mul(inv, a)
+                g = g * q + row[a]
         return self.offset[t] + g
 
     def mark(self, g: int, seen: bytearray) -> int:
         """Mark the orbit of index g in ``seen``, depth first, and return its
-        size."""
-        d, q, moves, index = self.d, self.q, self.moves, self.index
+        size.  The stack holds coefficient lists that need not be
+        normalized: a move takes scalar multiples of c to scalar multiples
+        of its image, and ``index`` divides the scalar out."""
+        moves, index = self.moves, self.index
         seen[g] = 1
-        stack, size = [g], 0
+        stack, size = [_coeffs_of_index(g, self.d, self.q)], 0
         while stack:
-            h = stack.pop()
+            c = stack.pop()
             size += 1
-            c = _coeffs_of_index(h, d, q)
             for move in moves:
-                j = index(move(c))
+                m = move(c)
+                j = index(m)
                 if not seen[j]:
                     seen[j] = 1
-                    stack.append(j)
+                    stack.append(m)
         return size
 
 
-def _classes(K: FieldSpec, d: int, reduced_only: bool):
-    """The census classes in increasing order of their first index, as
-    (index, form, weight, reduced, needs_threshold).
+def _classes(K: FieldSpec, d: int):
+    """The census classes, one per orbit, in increasing order of their
+    smallest index, as (index, form, weight, reduced).
 
-    Squarefreeness, and a reduced form's threshold, are invariant under linear
-    coordinate changes and Galois conjugation, because m^[p^e] is generated by
-    the p^e-th powers of any basis of m.  So each orbit of reduced forms is
-    one class, weighted by its size; with ``reduced_only`` so is each orbit
-    of non-reduced forms, which needs no threshold.  Otherwise each
-    non-reduced form is its own class: its answer depends on the coordinates
-    (x^3*y gives 1/3, but x^3*(x+y) an interval).  An orbit is met first at
-    its smallest index, so each class's index is the smallest in it.
+    Squarefreeness and every threshold fpt_binary_exact returns, exact or
+    interval, are invariant under linear coordinate changes and Galois
+    conjugation (see fptengine), so each orbit is one class, weighted by its
+    size.  An orbit is met first at its smallest index, which is the class's.
     """
     walk = _OrbitWalk(K, d)
     seen = bytearray((K.q ** (d + 1) - 1) // (K.q - 1))
     for g in range(len(seen)):
-        if seen[g]:
-            continue
-        f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, K.q))
-        reduced = is_squarefree_binary(f)
-        weight = walk.mark(g, seen) if reduced or reduced_only else 1
-        yield g, f, weight, reduced, reduced or not reduced_only
+        if not seen[g]:
+            f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, K.q))
+            yield g, f, walk.mark(g, seen), is_squarefree_binary(f)
 
 
-def _threshold(cls, e_cap: int):
+def _threshold(cls, e_cap: int, reduced_only: bool):
     """The class with its exact threshold, or None for an interval or for a
-    class that needs none."""
-    if not cls[4]:
+    non-reduced class of a reduced-only census."""
+    if reduced_only and not cls[3]:
         return cls, None
     res = fpt_binary_exact(cls[1], e_cap=e_cap)
     return cls, res.value if res.is_exact else None
@@ -355,16 +369,18 @@ def _threshold(cls, e_cap: int):
 
 def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 2,
            budget: int = DEFAULT_BUDGET, workers: int = 1) -> CensusReport:
-    """Enumerate every degree-d binary form over F_{p^k} up to scalar (first
-    nonzero coefficient normalized to 1), compute each threshold (once per
-    orbit for reduced forms, see _classes), and aggregate counts with the
+    """Count every degree-d binary form over F_{p^k} up to scalar (first
+    nonzero coefficient normalized to 1) by its threshold, with the
     lexicographically first witness per value.
 
-    One pass walks the orbits in index order; with ``workers`` > 1 a fork
-    pool computes the thresholds, in order, while the walk stays here.
+    Each orbit under PGL_2(F_q) x| Gal(F_q/F_p) is one class (see _classes):
+    one squarefree test and one threshold, counted once for every form in
+    it.  One pass walks the orbits in index order; with ``workers`` > 1 a
+    fork pool computes the thresholds, in order, while the walk stays here.
     Reduced values are checked against the admissible candidate set on the
     fly; a violation raises AnomalyError.  Interval-only results are counted
-    as unresolved.
+    as unresolved; with ``reduced_only`` non-reduced orbits get no threshold
+    and are counted as skipped.
     """
     if d < 2:
         raise ValidationError("census needs d >= 2")
@@ -378,17 +394,17 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
         raise BudgetError(f"enumeration needs {total} forms but budget is {budget}; "
                           f"rerun with budget >= {total}", required=total, budget=budget)
     admissible = frozenset(candidates(d, p).admissible_values()) | {Fraction(2, d)}
-    threshold = partial(_threshold, e_cap=e_cap)
+    threshold = partial(_threshold, e_cap=e_cap, reduced_only=reduced_only)
     records: dict[Fraction, ValueRecord] = {}
     unresolved = skipped = 0
     if workers > 1:
         import multiprocessing as mp   # not at the top: it adds ~12 ms to every import
     with mp.get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
-        classes = _classes(K, d, reduced_only)
+        classes = _classes(K, d)
         results = map(threshold, classes) if pool is None else \
             pool.imap(threshold, classes, chunksize=16)
-        for (g, f, weight, reduced, needs), v in results:
-            if not needs:
+        for (g, f, weight, reduced), v in results:
+            if reduced_only and not reduced:
                 skipped += weight
                 continue
             if v is None:

@@ -38,10 +38,15 @@ class TestFpt:
         assert payload["schema_version"] == 1
 
     def test_interval_output(self, capsys):
+        # x*(x^6+x^3*y^3+y^6) = x*(x+2y)^6 over F_3 has a dominant linear
+        # factor; x^2*y^2*(x+y) has none and is no power: an interval
         code, out, _ = run(capsys, "fpt", "--p", "3",
                            "--poly", "x*(x^6+x^3*y^3+y^6)", "--e-cap", "4")
         assert code == 0
-        assert "interval, bounded-fallback" in out
+        assert out.strip() == "1/6 (exact, dominant-factor)"
+        code, out, _ = run(capsys, "fpt", "--p", "7", "--poly", "x^2*y^2*(x+y)", "--e-cap", "4")
+        assert code == 0
+        assert out.strip() == "(955/2401, 956/2401] (interval, bounded-fallback)"
 
     def test_residue_window_budget_exit_code(self, capsys):
         # the default depth 8 would need residues of millions of terms

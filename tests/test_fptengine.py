@@ -82,15 +82,16 @@ class TestBinaryExact:
         assert fpt_binary_exact(parse_form("x*y*(x+y)", FieldSpec(5))).value == Q(3, 5)
         assert fpt_binary_exact(parse_form("x*y*(x^2+y^2)", FieldSpec(3))).value == Q(1, 3)
 
-    def test_degenerate_trinomial_septic_is_interval(self):
+    def test_degenerate_trinomial_septic_is_exact(self):
         # x(x^6+x^3y^3+y^6) = x(x+2y)^6 over F_3: neither squarefree nor a
-        # perfect power, so only a certified interval is returned, and the
-        # true threshold 1/6 (of x y^6 after a change of coordinates) is in it
+        # perfect power, but (x+2y)^6 is a dominant factor, so the threshold
+        # is 1/6, as for x y^6, and the depth-6 interval contains it
         f = parse_form("x*(x^6+x^3*y^3+y^6)", FieldSpec(3))
         res = fpt_binary_exact(f, e_cap=6)
-        assert not res.is_exact
-        assert res.low < Q(1, 6) <= res.high
-        assert res.high - res.low == Q(1, 3 ** 6)
+        assert res.is_exact and res.value == Q(1, 6) and res.method == "dominant-factor"
+        assert [(c.N, c.e, c.member) for c in res.certificates] == [(1, 2, False), (2, 2, True)]
+        lo, hi = fpt_bounds(f, 6)
+        assert lo < Q(1, 6) <= hi
 
     def test_methods_and_certificates(self):
         res = fpt_binary_exact(parse_form("x^5+y^5", FieldSpec(7)))
@@ -137,9 +138,9 @@ class TestBinaryExact:
                 assert lo < res.value <= hi
 
     def test_scalar_and_coordinate_invariance(self):
-        # the threshold itself is invariant; the engine's status can differ
-        # (a monomial is exact, its coordinate image may only be bracketed),
-        # so exactness is compared when present and containment otherwise
+        # the threshold itself is invariant; compatible() also accepts an
+        # exact value inside an interval, which binary answers no longer
+        # give (test_strata checks status, value and bounds for equality)
         def compatible(r1, r2):
             if r1.is_exact and r2.is_exact:
                 return r1.value == r2.value
@@ -264,6 +265,58 @@ class TestBinaryExact:
             assert naive_residue(f, a - 1, m), (f.as_text(), res.value)
 
 
+class TestDominantFactor:
+    def test_coordinates_do_not_matter(self):
+        # x^3*y and x^3*y+x^4 = x^3*(x+y) are one form in two coordinates
+        K = FieldSpec(5)
+        assert fpt_general(parse_form("x^3*y", K)).value == Q(1, 3)
+        res = fpt_general(parse_form("x^3*y+x^4", K))
+        assert res.is_exact and res.value == Q(1, 3) and res.method == "dominant-factor"
+        assert [(c.N, c.e, c.member) for c in res.certificates] == [(1, 1, False), (2, 1, True)]
+
+    def test_root_off_the_coordinates(self):
+        # (x+2y)^3 (x^2+y^2) = (x+2y)^4 (x+3y) over F_5
+        res = fpt_general(parse_form("(x+2*y)^3*(x^2+y^2)", FieldSpec(5)))
+        assert res.value == Q(1, 4) and res.method == "dominant-factor"
+        # over F_256 the root t comes from the gcd with u^q - u, not a scan
+        res = fpt_general(parse_form("(x+t*y)^5*(x^2+x*y+t*y^2)", FieldSpec(2, 8)))
+        assert res.value == Q(1, 5) and res.method == "dominant-factor"
+        assert [(c.N, c.e, c.member) for c in res.certificates] == [(1, 3, False), (2, 3, True)]
+
+    def test_half_the_degree_needs_a_rational_factor(self):
+        # x^2+y^2 splits over F_5 but not over F_3
+        res = fpt_general(parse_form("(x^2+y^2)^2", FieldSpec(5)))
+        assert res.value == Q(1, 2) and res.method == "dominant-factor"
+        res = fpt_general(parse_form("(x^2+y^2)^2", FieldSpec(3)))
+        assert res.value == Q(1, 2) and res.method == "power-rule"
+        # a double factor of a quintic is not dominant
+        res = fpt_general(parse_form("x^2*y^2*(x+y)", FieldSpec(7)), e_cap=2)
+        assert not res.is_exact
+
+    def test_ternary_forms(self):
+        K = FieldSpec(5)
+        res = fpt_general(parse_form("x1^3*(x2^2+x1*x3)", K, n=3))
+        assert res.is_exact and res.value == Q(1, 3) and res.method == "dominant-factor"
+        res = fpt_general(parse_form("x1^2*(x2^3+x3^3)", K, n=3), e_cap=2)
+        assert res.method == "bounded-fallback"
+
+    def test_value_inside_every_bracket(self):
+        # l^a g with 2a >= d in random coordinates: the value is checked
+        # against the definition, and matches the coordinate form x^a g
+        rng = random.Random(27)
+        for _ in range(30):
+            K = FieldSpec(rng.choice([2, 3, 5, 7]))
+            a = rng.randrange(2, 5)
+            g = random_sparse(K, 2, rng.randrange(1, a + 1), rng)
+            f = HomForm(K, 2, a + g.d, {(i + a, j): c for (i, j), c in g.terms.items()})
+            h = substitute_linear(f, _random_invertible(K, 2, rng))
+            res = fpt_general(h, e_cap=2)
+            assert res.is_exact and res.value == fpt_general(f, e_cap=2).value
+            for e in (1, 2, 3):
+                lo, hi = fpt_bounds(h, e)
+                assert lo < res.value <= hi, (h, res.describe())
+
+
 class TestGeneral:
     def test_monomial_any_arity(self):
         K = FieldSpec(5)
@@ -296,10 +349,15 @@ class TestGeneral:
         assert res.is_exact and res.value == Q(19, 49)
 
     def test_default_depths(self):
-        # without e_cap, both entry points use depth 8 for binary forms and 4 otherwise
+        # without e_cap, both entry points use depth 8 for binary forms and 4
+        # otherwise; x^2*y+x^3 = x^2*(x+y) is exact by its dominant factor
         f = parse_form("x^2*y+x^3", FieldSpec(7))
         res = fpt_general(f)
-        assert (res.low, res.high) == (Q(2882400, 7 ** 8), Q(2882401, 7 ** 8))
+        assert res.is_exact and res.value == Q(1, 2)
+        assert fpt_binary_exact(f) == res
+        f = parse_form("x^2*y^2*(x+y)", FieldSpec(7))
+        res = fpt_general(f)
+        assert (res.low, res.high) == (Q(2294155, 7 ** 8), Q(2294156, 7 ** 8))
         assert fpt_binary_exact(f) == res
         g = parse_form("x1^2*x2+x3^3", FieldSpec(5))
         res = fpt_general(g)

@@ -179,8 +179,30 @@ class TestUPoly:
             for r in roots:
                 assert f(r) == K.zero()
 
+    def test_scan_and_gcd_paths_agree(self, monkeypatch):
+        # over F_{3^7} both the exhaustive scan and the gcd with u^q - u are
+        # affordable; roots of multiplicity 3, which divide the derivative
+        # as often as f, included
+        from fptlib import gfpoly
+
+        K, F3 = FieldSpec(3, 7), FieldSpec(3)
+        rng = random.Random(11)
+        u = UPoly(K, (0, 1))
+        polys = [UPoly(F3, (0, 0, 0, 2, 1)), UPoly(F3, (1, 0, 1, 0, 0, 0, 1))]
+        for mults in ((3, 1), (2, 3)):
+            f = UPoly(K, (rng.randrange(K.q), 1))
+            for m in mults:
+                f = f * (u - UPoly.const(K, K.random_elem(rng))).pow(m)
+            polys.append(f)
+        for f in polys:
+            monkeypatch.setattr(gfpoly, "_ROOT_BRUTE_MAX_Q", K.q)
+            scan = f.roots_in(K)
+            monkeypatch.setattr(gfpoly, "_ROOT_BRUTE_MAX_Q", 0)
+            assert f.roots_in(K) == scan, f
+        assert [r.enc for r in polys[0].roots_in(K)] == [0, 1]   # u^3 (u + 2)
+
     def test_roots_in_large_field_splitting_path(self):
-        # q = 3^13 > 10^6 forces the powmod + random-splitting route
+        # q = 3^13 is far past the exhaustive-scan cutoff
         K = FieldSpec(3, 13)
         a, b = K.elem((1, 1, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 1)), K.elem((2, 2, 1))
         f = UPoly(K, (0, 1)) - UPoly.const(K, a)
@@ -190,7 +212,7 @@ class TestUPoly:
         assert {a.enc, b.enc} <= roots
 
     def test_even_char_large_field_splitting(self):
-        K = FieldSpec(2, 21)  # q = 2097152 > 10^6
+        K = FieldSpec(2, 21)
         vals = [K.elem((1, 0, 1)), K.elem((0, 1, 1, 1)), K.elem((1,))]
         poly = UPoly.one(K)
         for v in vals:

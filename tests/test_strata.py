@@ -203,8 +203,15 @@ def _per_form_census(d, p, k, reduced_only, e_cap=2):
     return CensusReport(d, p, k, reduced_only, e_cap, total, records, unresolved, skipped)
 
 
+_SLOW = pytest.mark.slow
+
+
 class TestOrbitCensus:
-    @pytest.mark.parametrize("d,p,k", [(4, 3, 1), (5, 5, 1), (3, 3, 2), (4, 2, 2), (6, 2, 1)])
+    @pytest.mark.parametrize("d,p,k", [(4, 3, 1), (5, 5, 1), (3, 3, 2), (4, 2, 2), (6, 2, 1),
+                                       (4, 5, 1), (5, 3, 1),
+                                       pytest.param(5, 7, 1, marks=_SLOW),
+                                       pytest.param(6, 5, 1, marks=_SLOW),
+                                       pytest.param(4, 3, 2, marks=_SLOW)])
     @pytest.mark.parametrize("reduced_only", [False, True])
     def test_matches_per_form_census(self, d, p, k, reduced_only):
         want = _per_form_census(d, p, k, reduced_only).to_dict()
@@ -213,29 +220,49 @@ class TestOrbitCensus:
 
     @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2)])
     def test_threshold_invariant_under_gl2_and_frobenius(self, p, k):
-        # the orbit census counts a reduced form's threshold for its whole
-        # orbit: check it against random coordinate changes (and Frobenius)
-        from fptlib import HomForm, random_form, substitute_linear
+        # the orbit census counts one threshold for a whole orbit, reduced or
+        # not: the squarefree test and the threshold, exact or interval, must
+        # not move under a coordinate change M or Frobenius.  Forms are drawn
+        # as products of powers of small factors, so most are not reduced
+        from hypothesis import assume, given, settings, strategies as st
+
+        from fptlib import GFElem, HomForm, substitute_linear
+        from fptlib.gfpoly import _pmul
 
         K = FieldSpec(p, k)
-        rng = random.Random(100 * p + k)
-        checked = 0
-        while checked < 10:
-            f = random_form(K, 2, rng.randrange(3, 7), rng)
-            if not is_squarefree_binary(f):
-                continue
-            M = [[K.random_elem(rng) for _ in range(2)] for _ in range(2)]
-            if not M[0][0] * M[1][1] - M[0][1] * M[1][0]:
-                continue
+        elem = st.integers(0, K.q - 1)
+        factor = st.tuples(st.lists(elem, min_size=2, max_size=3).filter(any), st.integers(1, 4))
+
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(st.lists(factor, min_size=1, max_size=3), st.lists(elem, min_size=4, max_size=4))
+        def check(factors, entries):
+            coeffs = [1]
+            for factor_coeffs, mult in factors:
+                for _ in range(mult):
+                    coeffs = _pmul(coeffs, factor_coeffs, K)
+            assume(2 <= len(coeffs) - 1 <= 8)
+            a, b, c, d = entries
+            assume(K.subi(K.muli(a, d), K.muli(b, c)))
+            f = HomForm.from_coeffs(K, coeffs)
+            M = [[GFElem(K, a), GFElem(K, b)], [GFElem(K, c), GFElem(K, d)]]
             images = [substitute_linear(f, M)]
             if k > 1:
                 images.append(HomForm(K, 2, f.d, {e: c.frobenius() for e, c in f.terms.items()}))
             want = fpt_binary_exact(f, e_cap=3)
             for h in images:
+                assert is_squarefree_binary(h) == is_squarefree_binary(f)
                 got = fpt_binary_exact(h, e_cap=3)
                 assert (got.status, got.value, got.low, got.high) == \
                     (want.status, want.value, want.low, want.high), (f, h)
-            checked += 1
+
+        check()
+
+    def test_quadrics_past_byte_tables(self):
+        # q = 257 > 256 takes the 4-byte product tables: the q^2 squarefree
+        # quadrics carry 1, the q + 1 squares of linear forms 1/2
+        rep = census(2, 257)
+        assert {v: (r.count_reduced, r.count_nonreduced) for v, r in rep.records.items()} == \
+            {Q(1): (257 ** 2, 0), Q(1, 2): (0, 258)}
 
     def test_orbit_walk_round_trips_indices(self):
         # every generator maps census indices to census indices, and over
