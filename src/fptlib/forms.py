@@ -20,7 +20,11 @@ G = 2^(s-1) at least both the deepest bound p^e and deg f, so that no field
 carries into the next.  A product w leaves the window (some a_i >= bound)
 exactly when (w + sum (G - bound) << s*i) & sum G << s*i is nonzero, and
 Frobenius on exponents is w * p.  Coefficients are field encodings
-(FieldSpec.muli/addi/frobi).  The text parser evaluates on the same packing
+(FieldSpec.muli/addi/frobi).  Over F_p the product multiplies, adds and
+reduces each coefficient pair mod p with plain integer arithmetic, no method
+call; over F_{p^k}, k > 1, each pair goes through muli and addi.  Either way
+a sum that vanishes leaves the dict at once, and more than _WINDOW_BUDGET
+terms after a row is refused.  The text parser evaluates on the same packing
 with the same product.
 
 Packed exponents compare as integers in a lex order (x_n most significant),
@@ -213,36 +217,82 @@ def _unpack(w: int, n: int, s: int) -> tuple:
 def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
     """A*B without the terms whose packed exponent w has (w + add) & mask.
 
-    Coefficients are nonzero on input, so a first product never vanishes.
-    Raises BudgetError once the product holds more than _WINDOW_BUDGET terms.
+    Coefficients are nonzero on input, so a first product never vanishes; a
+    sum that vanishes is deleted at once and re-inserted if a later pair
+    reaches it.  Raises BudgetError once the product holds more than
+    _WINDOW_BUDGET terms after a row of A.
+
+    Over F_p each pair is plain integer arithmetic, c1*c2 added and reduced
+    mod p inline; over F_{p^k}, k > 1, it goes through F.muli and F.addi.
+    Both keep the same insertion order, so later products walk their rows
+    in the same order and the budget trips on the same inputs.  With a
+    one-term operand each output term is one product, reduced at once.
     """
-    mul, plus = F.muli, F.addi
     out: dict = {}
     get = out.get
+    if F.k > 1:
+        mul, plus = F.muli, F.addi
+        for w1, c1 in A.items():
+            for w2, c2 in B.items():
+                w = w1 + w2
+                if (w + add) & mask:
+                    continue
+                cur = get(w)
+                if cur is None:
+                    out[w] = mul(c1, c2)
+                else:
+                    s = plus(cur, mul(c1, c2))
+                    if s:
+                        out[w] = s
+                    else:
+                        del out[w]
+            if len(out) > _WINDOW_BUDGET:
+                raise _window_error(len(out))
+        return out
+    p = F.p
+    if len(A) == 1 and len(B) <= _WINDOW_BUDGET:
+        A, B = B, A
+    if len(B) == 1 and len(A) <= _WINDOW_BUDGET:
+        (w2, c2), = B.items()
+        for w1, c1 in A.items():
+            w = w1 + w2
+            if not (w + add) & mask:
+                out[w] = c1 * c2 % p
+        return out
     for w1, c1 in A.items():
         for w2, c2 in B.items():
             w = w1 + w2
             if (w + add) & mask:
                 continue
-            cur = get(w)
-            if cur is None:
-                out[w] = mul(c1, c2)
+            v = (get(w, 0) + c1 * c2) % p
+            if v:
+                out[w] = v
             else:
-                s = plus(cur, mul(c1, c2))
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
+                del out[w]
         if len(out) > _WINDOW_BUDGET:
-            raise BudgetError(f"a residue exceeds the budget of {_WINDOW_BUDGET} terms; "
-                              "ask for a shallower depth", len(out), _WINDOW_BUDGET)
+            raise _window_error(len(out))
     return out
+
+
+def _window_error(live: int) -> BudgetError:
+    return BudgetError(f"a residue exceeds the budget of {_WINDOW_BUDGET} terms; "
+                       "ask for a shallower depth", live, _WINDOW_BUDGET)
 
 
 def _addmul(out: dict, A: dict, c: int, shift: int, F: FieldSpec) -> None:
     """out += c x^shift A in place, for c nonzero, dropping sums that vanish."""
-    mul, add = F.muli, F.addi
     get = out.get
+    if F.k == 1:
+        p = F.p
+        for w, a in A.items():
+            w += shift
+            v = (get(w, 0) + c * a) % p
+            if v:
+                out[w] = v
+            else:
+                del out[w]
+        return
+    mul, add = F.muli, F.addi
     for w, a in A.items():
         w += shift
         v = add(get(w, 0), mul(c, a))

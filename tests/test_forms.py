@@ -226,6 +226,176 @@ def _naive_mul_terms(K, A, B):
     return out
 
 
+class TestResidueProduct:
+    """forms._mul and forms._addmul against one GFElem product and sum per
+    coefficient pair on exponent tuples, over F_2, F_13, F_65537 and F_9."""
+
+    FIELDS = {pk: FieldSpec(*pk) for pk in [(2, 1), (13, 1), (65537, 1), (3, 2)]}
+    S = 8                       # bits per variable; exponents stay below the guard 2^7
+
+    @classmethod
+    def key(cls, e):
+        return sum(a << cls.S * i for i, a in enumerate(e))
+
+    @classmethod
+    def pack(cls, terms):
+        return {cls.key(e): c.enc for e, c in terms.items()}
+
+    @classmethod
+    def window(cls, n, bound):
+        """(add, mask) dropping the monomials with a component >= bound; (0, 0) keeps all."""
+        if bound is None:
+            return 0, 0
+        G, ones = 1 << cls.S - 1, sum(1 << cls.S * i for i in range(n))
+        return (G - bound) * ones, G * ones
+
+    @staticmethod
+    def operands():
+        from hypothesis import strategies as st
+
+        @st.composite
+        def draw_operands(draw):
+            K = TestResidueProduct.FIELDS[draw(st.sampled_from(sorted(TestResidueProduct.FIELDS)))]
+            n = draw(st.integers(1, 3))
+            exps = st.tuples(*[st.integers(0, 5)] * n)
+            elem = st.integers(1, K.q - 1).map(lambda c: GFElem(K, c))
+            A = draw(st.dictionaries(exps, elem, max_size=10))
+            B = draw(st.dictionaries(exps, elem, max_size=10))
+            if len(A) >= 2 and draw(st.booleans()):
+                # B = c x^t (x^e1 - (b/a) x^e2): the pairs (e1, t+e2) and (e2, t+e1) cancel
+                (e1, a), (e2, b) = list(A.items())[:2]
+                t, c = draw(exps), draw(elem)
+                B = {tuple(map(sum, zip(t, e1))): c, tuple(map(sum, zip(t, e2))): -(b * c) / a}
+            bound = draw(st.one_of(st.none(), st.integers(1, 12)))
+            return K, n, A, B, bound
+
+        return draw_operands()
+
+    @staticmethod
+    def per_pair(K, A, B, bound, budget):
+        """A*B on exponent tuples, one GFElem product and sum per pair and rows
+        in A's order, without the monomials with a component >= bound; or
+        ("budget", live) once more than ``budget`` terms are live after a row."""
+        out = {}
+        for e1, c1 in A.items():
+            for e2, c2 in B.items():
+                w = tuple(a + b for a, b in zip(e1, e2))
+                if bound is not None and max(w) >= bound:
+                    continue
+                v = out.get(w, K.zero()) + c1 * c2
+                if v:
+                    out[w] = v
+                else:
+                    del out[w]
+            if budget is not None and len(out) > budget:
+                return "budget", len(out)
+        return out
+
+    def test_mul_matches_per_pair_reference(self):
+        from hypothesis import given, settings, strategies as st
+
+        from fptlib import forms
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(self.operands(), st.one_of(st.none(), st.integers(1, 8)))
+        def check(operands, budget):
+            # under a small budget, the same inputs raise with the same count
+            K, n, A, B, bound = operands
+            want = self.per_pair(K, A, B, bound, budget)
+            with pytest.MonkeyPatch.context() as mp:
+                if budget is not None:
+                    mp.setattr(forms, "_WINDOW_BUDGET", budget)
+                try:
+                    got = forms._mul(self.pack(A), self.pack(B), *self.window(n, bound), K)
+                except BudgetError as err:
+                    assert want == ("budget", err.required)
+                    assert err.budget == budget
+                else:
+                    # same terms in the same order: later products walk their
+                    # rows in this order, so the budget trips at the same rows
+                    assert list(got.items()) == list(self.pack(want).items())
+
+        check()
+
+    def test_addmul_matches_per_pair_reference(self):
+        from hypothesis import given, settings, strategies as st
+
+        from fptlib import forms
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(self.operands(), st.data())
+        def check(operands, data):
+            K, n, out, A, _ = operands
+            c = GFElem(K, data.draw(st.integers(1, K.q - 1)))
+            shift = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+            moved = {tuple(map(sum, zip(e, shift))): c * a for e, a in A.items()}
+            if moved and data.draw(st.booleans()):
+                # out already holds -c x^shift a for one term of A: that sum vanishes
+                w, v = next(iter(moved.items()))
+                out = {**out, w: -v}
+            want = dict(out)
+            for w, v in moved.items():
+                s = want.get(w, K.zero()) + v
+                if s:
+                    want[w] = s
+                else:
+                    want.pop(w, None)
+            got = self.pack(out)
+            forms._addmul(got, self.pack(A), c.enc, self.key(shift), K)
+            assert list(got.items()) == list(self.pack(want).items())
+
+        check()
+
+    @pytest.mark.parametrize("pk", sorted(FIELDS))
+    def test_truncated_product_cancels_to_zero(self, pk):
+        # (x^2 + y^2)(x^2 - y^2) = x^4 - y^4: x^2 y^2 cancels, and a bound of 3
+        # drops x^4 and y^4
+        from fptlib import forms
+
+        K = self.FIELDS[pk]
+        A = self.pack({(2, 0): K.one(), (0, 2): K.one()})
+        B = self.pack({(2, 0): K.one(), (0, 2): -K.one()})
+        assert forms._mul(A, B, *self.window(2, 3), K) == {}
+        assert forms._mul(A, B, *self.window(2, 5), K) == self.pack(
+            {(4, 0): K.one(), (0, 4): -K.one()})
+
+    @pytest.mark.parametrize("pk", sorted(FIELDS))
+    def test_budget_counts_live_terms(self, pk, monkeypatch):
+        from fptlib import forms
+
+        K = self.FIELDS[pk]
+        one = K.one()
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 2)
+        # (1 + x)(1 - x) = 1 - x^2: the key of x cancels in the second row,
+        # which leaves two terms, within the budget
+        A = self.pack({(0,): one, (1,): one})
+        B = self.pack({(0,): one, (1,): -one})
+        assert forms._mul(A, B, 0, 0, K) == self.pack({(0,): one, (2,): -one})
+        # (1 + x)(1 - x + x^3) = 1 - x^2 + x^3 + x^4: four terms after the
+        # second row, where the key of x cancels; refused with count 4, not 5
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 3)
+        B = self.pack({(0,): one, (1,): -one, (3,): one})
+        with pytest.raises(BudgetError) as err:
+            forms._mul(A, B, 0, 0, K)
+        assert (err.value.required, err.value.budget) == (4, 3)
+
+    def test_budget_trips_on_the_same_ladder(self, monkeypatch):
+        # the least budget under which this depth-4 ladder finishes is 54.  It
+        # depends on the order of each product's rows, the insertion order of
+        # an earlier product: if a vanishing sum kept its key instead of being
+        # deleted and re-inserted later, 50 would do
+        from fptlib import forms
+        from fptlib.fptengine import fpt_bounds
+
+        f = parse_form("x^5+x^2*y^3+2*x*y^4+2*y^5", FieldSpec(3))
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 53)
+        with pytest.raises(BudgetError) as err:
+            fpt_bounds(f, 4)
+        assert err.value.required == 54
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 54)
+        fpt_bounds(f, 4)
+
+
 def _random_invertible(K, n, rng):
     while True:
         T = [[rng.randrange(K.q) for _ in range(n)] for _ in range(n)]
