@@ -225,8 +225,7 @@ def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
     Over F_p each pair is plain integer arithmetic, c1*c2 added and reduced
     mod p inline; over F_{p^k}, k > 1, it goes through F.muli and F.addi.
     Both keep the same insertion order, so later products walk their rows
-    in the same order and the budget trips on the same inputs.  With a
-    one-term operand each output term is one product, reduced at once.
+    in the same order and the budget trips on the same inputs.
     """
     out: dict = {}
     get = out.get
@@ -250,15 +249,6 @@ def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
                 raise _window_error(len(out))
         return out
     p = F.p
-    if len(A) == 1 and len(B) <= _WINDOW_BUDGET:
-        A, B = B, A
-    if len(B) == 1 and len(A) <= _WINDOW_BUDGET:
-        (w2, c2), = B.items()
-        for w1, c1 in A.items():
-            w = w1 + w2
-            if not (w + add) & mask:
-                out[w] = c1 * c2 % p
-        return out
     for w1, c1 in A.items():
         for w2, c2 in B.items():
             w = w1 + w2
