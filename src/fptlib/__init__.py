@@ -14,7 +14,6 @@ The package computes, with exact rational arithmetic throughout:
 
 from .errors import AnomalyError, BudgetError, ParseError, ValidationError
 from .forms import (
-    FrobTruncPoly,
     HomForm,
     coeff_of_power,
     in_frobenius_power,
@@ -60,7 +59,7 @@ __all__ = [
     "FieldSpec", "GFElem", "UPoly",
     "Rat", "TruncationValue", "trunc", "digits", "mult_order",
     "min_e_two_p_pow", "lucas_binom", "bms_excluded",
-    "HomForm", "FrobTruncPoly", "pow_mod_frobenius", "in_frobenius_power",
+    "HomForm", "pow_mod_frobenius", "in_frobenius_power",
     "coeff_of_power", "is_squarefree_binary", "perfect_power_decompose",
     "substitute_linear", "parse_form", "random_form",
     "FptResult", "MembershipCheck", "nu", "fpt_bounds", "fpt_monomial",

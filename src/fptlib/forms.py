@@ -1,5 +1,9 @@
 """Sparse homogeneous forms and residues modulo Frobenius powers.
 
+Coefficients are plain field encodings, ints in [0, q), throughout: terms,
+residues and parsed text.  A caller's coefficient enters through
+FieldSpec.encode; GFElem comes out only from HomForm.coeff and coeff_of_power.
+
 The central computation is the residue of f^N modulo the monomial ideal
 (x_1^{p^e}, ..., x_n^{p^e}).  One engine, the digit ladder, does it in every
 arity: writing N = sum c_t p^t, the residue is built from the most
@@ -19,13 +23,12 @@ packs into sum a_i << s*i, with s bits per variable and a guard bit
 G = 2^(s-1) at least both the deepest bound p^e and deg f, so that no field
 carries into the next.  A product w leaves the window (some a_i >= bound)
 exactly when (w + sum (G - bound) << s*i) & sum G << s*i is nonzero, and
-Frobenius on exponents is w * p.  Coefficients are field encodings
-(FieldSpec.muli/addi/frobi).  Over F_p the product multiplies, adds and
+Frobenius on exponents is w * p.  Over F_p the product multiplies, adds and
 reduces each coefficient pair mod p with plain integer arithmetic, no method
-call; over F_{p^k}, k > 1, each pair goes through muli and addi.  Either way
-a sum that vanishes leaves the dict at once, and more than _WINDOW_BUDGET
-terms after a row is refused.  The text parser evaluates on the same packing
-with the same product.
+call; over F_{p^k}, k > 1, each pair goes through FieldSpec.muli and addi.
+Either way a sum that vanishes leaves the dict at once, and more than
+_WINDOW_BUDGET terms after a row is refused.  The text parser evaluates on
+the same packing with the same product.
 
 Packed exponents compare as integers in a lex order (x_n most significant),
 and a lex order is a monomial order, so the perfect-power check takes m-th
@@ -53,7 +56,8 @@ class HomForm:
     """A nonzero homogeneous polynomial of degree d in n variables.
 
     ``terms`` maps exponent vectors (tuples of length n summing to d) to
-    nonzero GFElem coefficients.
+    nonzero encodings.  The constructors and ``scale`` read coefficients
+    with FieldSpec.encode: a GFElem, an encoding, or over F_p any int.
     """
 
     __slots__ = ("n", "d", "field", "terms", "_key", "_squarefree")
@@ -64,13 +68,14 @@ class HomForm:
         if d < 1:
             raise ValidationError(f"need degree >= 1, got {d}")
         clean = {}
+        encode = field.encode
         for exps, c in terms.items():
             exps = tuple(int(a) for a in exps)
             if len(exps) != n or any(a < 0 for a in exps):
                 raise ValidationError(f"bad exponent vector {exps}")
             if sum(exps) != d:
                 raise ValidationError(f"exponent vector {exps} does not have degree {d}")
-            c = field.elem(c)
+            c = encode(c)
             if c:
                 clean[exps] = c
         if not clean:
@@ -86,25 +91,13 @@ class HomForm:
     @classmethod
     def from_coeffs(cls, field: FieldSpec, coeffs, d: int | None = None) -> "HomForm":
         """Binary form from the coefficient list [a_0, ..., a_d] where a_i is
-        the coefficient of x^(d-i) y^i.
-
-        Plain integers are element encodings in [0, q); over the prime field
-        that coincides with reduction mod p.
-        """
+        the coefficient of x^(d-i) y^i."""
         coeffs = list(coeffs)
         if d is None:
             d = len(coeffs) - 1
         if len(coeffs) != d + 1:
             raise ValidationError("coefficient list must have length d+1")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if not isinstance(c, GFElem):
-                enc = c % field.p if field.k == 1 else c
-                if not 0 <= enc < field.q:
-                    raise ValidationError(f"encoding {c} outside [0, {field.q})")
-                c = GFElem(field, enc)
-            terms[(d - i, i)] = c
-        return cls(field, 2, d, terms)
+        return cls(field, 2, d, {(d - i, i): c for i, c in enumerate(coeffs)})
 
     @classmethod
     def monomial(cls, field: FieldSpec, exps, coeff=1) -> "HomForm":
@@ -114,7 +107,7 @@ class HomForm:
     # -- basics ---------------------------------------------------------------
     def key(self):
         if self._key is None:
-            items = tuple(sorted((e, c.enc) for e, c in self.terms.items()))
+            items = tuple(sorted(self.terms.items()))
             self._key = (self.n, self.d, self.field.p, self.field.k, items)
         return self._key
 
@@ -127,8 +120,8 @@ class HomForm:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps)) or self.field.zero()
+    def coeff(self, exps) -> GFElem:
+        return GFElem(self.field, self.terms.get(tuple(exps), 0))
 
     def coeff_list(self) -> list[int]:
         """Binary form as [a_0..a_d] encodings."""
@@ -136,28 +129,27 @@ class HomForm:
             raise ValidationError("coeff_list requires a binary form")
         out = [0] * (self.d + 1)
         for (ax, ay), c in self.terms.items():
-            out[ay] = c.enc
+            out[ay] = c
         return out
 
     def scale(self, c) -> "HomForm":
-        ce = self.field.elem(c)
+        F = self.field
+        ce = F.encode(c)
         if not ce:
             raise ValidationError("cannot scale a form by zero")
-        return HomForm(self.field, self.n, self.d,
-                       {e: v * ce for e, v in self.terms.items()})
+        return HomForm(F, self.n, self.d, {e: F.muli(v, ce) for e, v in self.terms.items()})
 
     def monic(self) -> "HomForm":
         """Normalize so the lexicographically largest exponent has coefficient 1."""
         lead = max(self.terms)
-        return self.scale(self.terms[lead].inverse())
+        return self.scale(self.field.invi(self.terms[lead]))
 
     def as_text(self) -> str:
         """Render in the CLI grammar: '+'-joined terms c*x1^a*...; x,y for n=2."""
         names = ["x", "y"] if self.n == 2 else [f"x{i+1}" for i in range(self.n)]
         parts = []
         for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
-            cs = str(c)
+            cs = self.field.elem_str(self.terms[exps])
             need_paren = "+" in cs or "*" in cs or "^" in cs
             factors = []
             for name, a in zip(names, exps):
@@ -180,25 +172,6 @@ class HomForm:
 
     def __repr__(self):
         return f"HomForm({self.as_text()!r} over {self.field!r})"
-
-
-class FrobTruncPoly:
-    """Residue class modulo (x_1^{p^e}, ..., x_n^{p^e}): only monomials with
-    every exponent < p^e are stored; everything else is the ideal."""
-
-    __slots__ = ("field", "n", "e", "terms")
-
-    def __init__(self, field: FieldSpec, n: int, e: int, terms: dict):
-        self.field = field
-        self.n = n
-        self.e = e
-        self.terms = terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    coeff = HomForm.coeff
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +294,7 @@ class ResidueLadder:
         self.ones = sum(1 << s * i for i in range(f.n))
         self.mask = (1 << s - 1) * self.ones if bounded else 0
         self.frob = F.frobi if F.k > 1 else None
-        self.f = {_pack(e, s): c.enc for e, c in f.terms.items()}
+        self.f = {_pack(e, s): c for e, c in f.terms.items()}
         self.terms = {0: 1}
 
     def times_f(self, c: int) -> None:
@@ -350,9 +323,9 @@ class ResidueLadder:
         return self
 
     def residue(self) -> dict:
-        """The residue keyed by exponent tuples, with GFElem values."""
-        n, s, F = self.n, self.s, self.field
-        return {_unpack(w, n, s): GFElem(F, v) for w, v in self.terms.items()}
+        """The residue keyed by exponent tuples, with encoding values."""
+        n, s = self.n, self.s
+        return {_unpack(w, n, s): v for w, v in self.terms.items()}
 
 
 def _power_ladder(f: HomForm, N: int, e: int) -> ResidueLadder:
@@ -374,10 +347,11 @@ def _power_ladder(f: HomForm, N: int, e: int) -> ResidueLadder:
     return lad.climb(N)
 
 
-def pow_mod_frobenius(f: HomForm, N: int, e: int) -> FrobTruncPoly:
-    """Residue of f^N modulo (x_1^{p^e}, ..., x_n^{p^e})."""
-    lad = _power_ladder(f, N, e)
-    return FrobTruncPoly(f.field, f.n, e, lad.residue())
+def pow_mod_frobenius(f: HomForm, N: int, e: int) -> dict:
+    """Residue of f^N modulo (x_1^{p^e}, ..., x_n^{p^e}) as a dict from
+    exponent tuples, every component below p^e, to nonzero encodings; it is
+    empty exactly when f^N lies in the ideal."""
+    return _power_ladder(f, N, e).residue()
 
 
 def in_frobenius_power(f: HomForm, N: int, e: int) -> bool:
@@ -525,14 +499,13 @@ def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
             continue
         H = {}
         for e, c in f.terms.items():
-            c, t = c.enc, ps
+            t = ps
             while t > 1:
                 c, t = F.pth_rooti(c), t // p
             H[_pack(e, s) // ps] = c
         g = H if m == 1 else _mth_root(H, m, n, s, F)
         if g is not None:
-            return HomForm(F, n, f.d // r, {_unpack(w, n, s): GFElem(F, c)
-                                            for w, c in g.items()}), r
+            return HomForm(F, n, f.d // r, {_unpack(w, n, s): c for w, c in g.items()}), r
     return f, 1
 
 
@@ -570,7 +543,7 @@ def _det(field: FieldSpec, rows: list[list[int]]) -> int:
 def substitute_linear(f: HomForm, T) -> HomForm:
     """Compose f with the substitution x_i -> sum_j T[i][j] x_j (T invertible)."""
     F, n = f.field, f.n
-    rows = [[F.elem(T[i][j]).enc for j in range(n)] for i in range(n)]
+    rows = [[F.encode(T[i][j]) for j in range(n)] for i in range(n)]
     if _det(F, rows) == 0:
         raise ValidationError("substitution matrix is singular")
     s = f.d.bit_length() + 1
@@ -581,9 +554,8 @@ def substitute_linear(f: HomForm, T) -> HomForm:
         for i, a in enumerate(exps):
             for _ in range(a):
                 term = _mul(term, linear[i], 0, 0, F)
-        _addmul(out, term, c.enc, 0, F)
-    out = {_unpack(w, n, s): GFElem(F, c) for w, c in out.items()}
-    return HomForm(F, n, f.d, out)
+        _addmul(out, term, c, 0, F)
+    return HomForm(F, n, f.d, {_unpack(w, n, s): c for w, c in out.items()})
 
 
 def random_form(field: FieldSpec, n: int, d: int, rng: random.Random) -> HomForm:
@@ -601,7 +573,7 @@ def random_form(field: FieldSpec, n: int, d: int, rng: random.Random) -> HomForm
         for e in exps_list:
             c = rng.randrange(field.q)
             if c:
-                terms[e] = GFElem(field, c)
+                terms[e] = c
         if terms:
             return HomForm(field, n, d, terms)
 
@@ -763,7 +735,7 @@ def parse_form(text: str, field: FieldSpec, n: int | None = None) -> HomForm:
     if not packed:
         raise ParseError("polynomial is zero", 0)
     width = n if n is not None else max(ps.max_var, 1)
-    terms = {_unpack(w, width, _PARSE_BITS): GFElem(field, c) for w, c in packed.items()}
+    terms = {_unpack(w, width, _PARSE_BITS): c for w, c in packed.items()}
     degs = {sum(e) for e in terms}
     if len(degs) != 1:
         raise ParseError(f"polynomial is not homogeneous (degrees {sorted(degs)})", 0)

@@ -169,7 +169,7 @@ def _dominant_factor(f: HomForm) -> int:
     if g.degree < need - 1:
         return 0
     for r in g.roots_in():
-        lin, a = UPoly(F, (F.negi(r.enc), 1)), 0
+        lin, a = UPoly(F, (F.negi(r), 1)), 0
         quo, rem = h.divmod(lin)
         while not rem:
             h, a = quo, a + 1
@@ -224,10 +224,12 @@ def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
     denominator b of 2/d are resolved by testing the truncation numerators
     N_L for L = 1..ord_b(p) (smallest passing depth wins, no pass means 2/d);
     the rest fall back to a certified interval at depth ``e_cap``, by default
-    8 for binary forms and 4 otherwise.
+    8 for binary forms and 4 otherwise; an ``e_cap`` below 1 is refused.
     """
     if e_cap is None:
         e_cap = 8 if f.n == 2 else 4
+    if e_cap < 1:
+        raise ValidationError(f"need e_cap >= 1, got {e_cap}")
     if f.is_monomial():
         exps = next(iter(f.terms))
         return FptResult("exact", "monomial", value=fpt_monomial(exps))

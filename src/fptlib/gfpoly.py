@@ -148,8 +148,10 @@ def _smallest_modulus(Fp: "FieldSpec", k: int) -> tuple[int, ...]:
 class FieldSpec:
     """The finite field F_{p^k} = F_p[t]/(modulus).
 
-    Elements are integer encodings in [0, q); the low-level *_i methods work
-    on encodings, and `elem` wraps one into a GFElem.
+    Elements are integer encodings sum(c_i p^i) in [0, q) of c_0 + c_1 t +
+    ..., and inside the library every coefficient is one; the *_i methods
+    work on them.  `encode` reads a caller's coefficient; `elem` wraps a
+    value into a GFElem at the API edge, reading a plain int mod p.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_prime", "_embed_cache")
@@ -293,6 +295,21 @@ class FieldSpec:
         if self.k == 1:
             return a
         return self.powi(a, self.p ** (self.k - 1))
+
+    def encode(self, c) -> int:
+        """A caller's coefficient as an encoding: a GFElem of this field gives
+        its own; an int is reduced mod p over F_p, and over F_{p^k} it must
+        already be an encoding in [0, q)."""
+        if isinstance(c, int):
+            if self.k == 1:
+                return c % self.p
+            if 0 <= c < self.q:
+                return c
+        elif isinstance(c, GFElem):
+            if c.field != self:
+                raise ValidationError("element belongs to a different field")
+            return c.enc
+        raise ValidationError(f"coefficient {c!r} outside the encodings [0, {self.q})")
 
     # -- element-level API -----------------------------------------------------
     def elem(self, x) -> "GFElem":
@@ -447,8 +464,7 @@ class UPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs):
-        cs = [c.enc if isinstance(c, GFElem) else c % field.p if field.k == 1 else c
-              for c in coeffs]
+        cs = [field.encode(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -466,10 +482,6 @@ class UPoly:
     @classmethod
     def x(cls, field):
         return cls(field, (0, 1))
-
-    @classmethod
-    def const(cls, field, c):
-        return cls(field, (field.elem(c).enc,))
 
     # -- basics ---------------------------------------------------------------
     @property
@@ -541,9 +553,8 @@ class UPoly:
         return UPoly(self.field, _pmul(self.coeffs, other.coeffs, self.field))
 
     def scale(self, c) -> "UPoly":
-        # plain ints are encodings here, matching the coefficient convention
         F = self.field
-        ce = c.enc if isinstance(c, GFElem) else c
+        ce = F.encode(c)
         return UPoly(F, [F.muli(ce, a) for a in self.coeffs])
 
     def monic(self) -> "UPoly":
@@ -601,11 +612,11 @@ class UPoly:
         emb = target.embedding_from(self.field)
         return UPoly(target, [emb(c) for c in self.coeffs])
 
-    def roots_in(self, target: FieldSpec | None = None) -> list[GFElem]:
-        """All roots lying in ``target`` (default: own field), each once,
-        sorted by encoding.  Exhaustive scan for small fields; for large ones
-        the in-field part is split off with u^q - u and then factored by
-        randomized splitting.
+    def roots_in(self, target: FieldSpec | None = None) -> list[int]:
+        """The encodings of all roots lying in ``target`` (default: own
+        field), each once, sorted.  Exhaustive scan for small fields; for
+        large ones the in-field part is split off with u^q - u and then
+        factored by randomized splitting.
         """
         K = target or self.field
         f = self.map_to(K) if K != self.field else self
@@ -614,24 +625,23 @@ class UPoly:
         if f.degree == 0:
             return []
         if K.q <= _ROOT_BRUTE_MAX_Q:
-            return [GFElem(K, e) for e in range(K.q) if f.eval_enc(e) == 0]
+            return [e for e in range(K.q) if f.eval_enc(e) == 0]
         # u^q - u is the squarefree product of u - r over r in K, so the gcd
         # keeps each in-field root once, whatever its multiplicity in f
         xq = UPoly.x(K).pow(K.q, mod=f)
         lin = f.gcd(xq - UPoly.x(K))
         rng = random.Random(0xF9)
-        out = sorted(e.enc for e in _split_linear(lin, rng))
-        return [GFElem(K, e) for e in out]
+        return sorted(_split_linear(lin, rng))
 
 
-def _split_linear(g: UPoly, rng: random.Random) -> list[GFElem]:
-    """Roots of a product of distinct monic linear factors, by random splitting."""
+def _split_linear(g: UPoly, rng: random.Random) -> list[int]:
+    """Roots (encodings) of a product of distinct monic linear factors, by
+    random splitting."""
     K = g.field
     if g.degree <= 0:
         return []
     if g.degree == 1:
-        c = K.muli(K.negi(g.coeff(0)), K.invi(g.coeff(1)))
-        return [GFElem(K, c)]
+        return [K.muli(K.negi(g.coeff(0)), K.invi(g.coeff(1)))]
     while True:
         r = rng.randrange(1, K.q)
         s = rng.randrange(K.q)

@@ -386,6 +386,8 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
         raise ValidationError("census needs d >= 2")
     if workers < 1:
         raise ValidationError(f"need at least 1 worker, got {workers}")
+    if e_cap < 1:
+        raise ValidationError(f"need e_cap >= 1, got {e_cap}")
     require_prime(p)
     K = FieldSpec(p, k)
     q = K.q
@@ -525,7 +527,7 @@ def trinomial_witness_search(p: int, d: int, target: Fraction, family: tuple[int
         return None  # a nonzero constant obstruction: no value of a works
     for kappa in range(1, k_max + 1):
         K = FieldSpec(p, kappa)
-        for a0 in K.elements() if G is None else G.roots_in(K):
+        for a0 in range(K.q) if G is None else G.roots_in(K):
             coeffs = [0] * (d + 1)          # indexed by the power of y
             coeffs[j], coeffs[j + m], coeffs[j + 2 * m] = 1, a0, 1
             form = HomForm.from_coeffs(K, coeffs)
@@ -533,12 +535,12 @@ def trinomial_witness_search(p: int, d: int, target: Fraction, family: tuple[int
                 continue
             if not in_frobenius_power(form, N, e):
                 raise AnomalyError(
-                    f"specialized witness at a={a0} lost the membership "
+                    f"specialized witness at a={K.elem_str(a0)} lost the membership "
                     f"f^{N} in depth {e} it was constructed for"
                 )
             # the gcd is univariate in the parameter; print it in 'a'
             gtext = "0" if G is None else str(G.monic()).replace("u", "a")
-            return WitnessResult(a0, K, form, Fraction(N, p ** e), gtext)
+            return WitnessResult(GFElem(K, a0), K, form, Fraction(N, p ** e), gtext)
     return None
 
 

@@ -256,8 +256,7 @@ def test_criterion_8_property_suites():
         if not res1.is_exact:
             continue
         done += 1
-        lifted = HomForm(K2, 2, f.d,
-                         {e: GFElem(K2, c.enc) for e, c in f.terms.items()})
+        lifted = HomForm(K2, 2, f.d, f.terms)
         res2 = fpt_binary_exact(lifted, e_cap=2)
         assert res2.is_exact and res2.value == res1.value
 
@@ -270,10 +269,8 @@ def test_criterion_8_property_suites():
                 n = rng.choice([2, 3])
                 N = rng.randrange(0, 31)
                 f = random_sparse(K, n, d, rng)
-                got = pow_mod_frobenius(f, N, e)
                 want = naive_residue(f, N, e)
-                assert {w: c.enc for w, c in got.terms.items()} == \
-                       {w: c.enc for w, c in want.items()}
+                assert pow_mod_frobenius(f, N, e) == want
                 if n == 2:
                     assert in_frobenius_power(f, N, e) == (not want)
 

@@ -108,6 +108,15 @@ class TestFpt:
         assert code == 3 and out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize("poly", ["x^5+y^5", "x^2*y^2*(x+y)", "x1^2*x2+x3^3"],
+                             ids=["exact", "interval", "ternary"])
+    @pytest.mark.parametrize("e_cap", ["0", "-3"])
+    def test_e_cap_below_one_refused(self, capsys, poly, e_cap):
+        # refused whether or not the form needs an interval
+        code, out, err = run(capsys, "fpt", "--p", "7", "--poly", poly, "--e-cap", e_cap)
+        assert code == 2 and not out
+        assert err.startswith("error: need e_cap >= 1")
+
 
 class TestGeneric:
     def test_values(self, capsys):
@@ -172,6 +181,13 @@ class TestCensus:
             code, out, err = run(capsys, *cmd, *argv)
             assert code == 2 and not out
             assert err.startswith("error: need at least 1 worker")
+
+    @pytest.mark.parametrize("e_cap", ["0", "-3"])
+    def test_e_cap_below_one_refused(self, capsys, e_cap):
+        code, out, err = run(capsys, "census", "--d", "4", "--p", "3", "--e-cap", e_cap,
+                             "--format", "json")
+        assert code == 2 and not out
+        assert err.startswith("error: need e_cap >= 1")
 
     def test_reduced_only_json(self, capsys):
         code, out, _ = run(capsys, "census", "--d", "3", "--p", "2",

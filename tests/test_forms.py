@@ -29,6 +29,7 @@ from fptlib import (
 
 
 def naive_residue(f: HomForm, N: int, e: int) -> dict:
+    """f^N truncated at p^e, one GFElem product per pair, as encodings."""
     K = f.field
     cur = {(0,) * f.n: K.one()}
     for _ in range(N):
@@ -36,7 +37,7 @@ def naive_residue(f: HomForm, N: int, e: int) -> dict:
         for e1, c1 in cur.items():
             for e2, c2 in f.terms.items():
                 w = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
+                v = c1 * GFElem(K, c2)
                 if w in nxt:
                     v = nxt[w] + v
                 if v:
@@ -45,7 +46,7 @@ def naive_residue(f: HomForm, N: int, e: int) -> dict:
                     del nxt[w]
         cur = nxt
     bound = K.p ** e
-    return {w: c for w, c in cur.items() if all(a < bound for a in w)}
+    return {w: c.enc for w, c in cur.items() if all(a < bound for a in w)}
 
 
 def random_sparse(field, n, d, rng, max_terms=4):
@@ -66,11 +67,9 @@ class TestPowModFrobenius:
     def test_diagonal_quintic_cases(self):
         K = FieldSpec(7)
         f = parse_form("x^5+y^5", K)
-        assert pow_mod_frobenius(f, 3, 1).is_zero
-        r = pow_mod_frobenius(f, 2, 1)
-        assert {e: c.enc for e, c in r.terms.items()} == {(5, 5): 2}
-        r0 = pow_mod_frobenius(f, 0, 1)
-        assert not r0.is_zero and r0.coeff((0, 0)) == K.one()
+        assert pow_mod_frobenius(f, 3, 1) == {}
+        assert pow_mod_frobenius(f, 2, 1) == {(5, 5): 2}
+        assert pow_mod_frobenius(f, 0, 1) == {(0, 0): 1}
 
     def test_matches_naive_expansion(self):
         rng = random.Random(11)
@@ -100,10 +99,7 @@ class TestPowModFrobenius:
         for p, k, n, d, N, e in cases:
             K = FieldSpec(p, k)
             f = random_sparse(K, n, d, rng)
-            got = pow_mod_frobenius(f, N, e)
-            want = naive_residue(f, N, e)
-            assert {w: c.enc for w, c in got.terms.items()} == \
-                   {w: c.enc for w, c in want.items()}
+            assert pow_mod_frobenius(f, N, e) == naive_residue(f, N, e)
 
     def test_membership_monotone_in_N(self):
         rng = random.Random(12)
@@ -184,12 +180,12 @@ class TestTrinomialObstructions:
             for N, e in product(range(12), (1, 2)):
                 obs = trinomial_obstructions(5, (i, j, m), N, e)
                 obs = {w: c.map_to(K) for w, c in obs.items()}
-                for a in K.elements():
+                for a in range(K.q):
                     cs = [0] * (d + 1)
                     cs[j], cs[j + m], cs[j + 2 * m] = 1, a, 1
                     direct = pow_mod_frobenius(HomForm.from_coeffs(K, cs), N, e)
-                    evaluated = {w: GFElem(K, c.eval_enc(a.enc)) for w, c in obs.items()}
-                    assert {w: c for w, c in evaluated.items() if c} == direct.terms
+                    evaluated = {w: c.eval_enc(a) for w, c in obs.items()}
+                    assert {w: c for w, c in evaluated.items() if c} == direct
 
 
 class TestSquarefreeBinary:
@@ -216,9 +212,9 @@ def _naive_mul_terms(K, A, B):
     for e1, c1 in A.items():
         for e2, c2 in B.items():
             w = tuple(a + b for a, b in zip(e1, e2))
-            v = c1 * c2
+            v = K.muli(c1, c2)
             if w in out:
-                v = out[w] + v
+                v = K.addi(out[w], v)
             if v:
                 out[w] = v
             elif w in out:
@@ -457,7 +453,7 @@ class TestPerfectPower:
         assert r == 6 and _form_pow(g, 6) == f.monic()
         terms = dict(f.terms)
         mid = sorted(terms)[len(terms) // 2]
-        terms[mid] = terms[mid] + 1
+        terms[mid] = K.addi(terms[mid], 1)
         assert perfect_power_decompose(HomForm(K, 4, f.d, terms))[1] == 1
 
     def test_high_power(self):
@@ -507,14 +503,71 @@ class TestSubstitution:
             substitute_linear(parse_form("x*y", K), [[1, 1], [2, 2]])
 
 
+class TestCoefficientConvention:
+    """Every constructor and ``scale`` read an int the same way: over F_p
+    mod p, over F_{p^k} as an encoding in [0, q)."""
+
+    def test_ints_are_encodings_over_an_extension(self):
+        K = FieldSpec(3, 2)
+        c = K.gen() + 2                 # t + 2, encoding 5
+        f = HomForm(K, 2, 1, {(1, 0): 1, (0, 1): 5})
+        assert f == HomForm.from_coeffs(K, [1, 5]) == HomForm.from_coeffs(K, [K.one(), c])
+        assert f.as_text() == "x+(t+2)*y" and f.coeff((0, 1)) == c
+        assert HomForm.monomial(K, (1, 1), 5) == HomForm.monomial(K, (1, 1), c)
+        assert f.scale(5) == f.scale(c)
+        assert f.scale(5).terms == {(1, 0): 5, (0, 1): (c * c).enc}
+        assert substitute_linear(f, [[5, 0], [0, 1]]) == HomForm.from_coeffs(K, [5, 5])
+
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_encoding_outside_the_field_refused(self, bad):
+        K = FieldSpec(3, 2)
+        f = HomForm.from_coeffs(K, [1, 1])
+        for build in (lambda: HomForm(K, 2, 1, {(1, 0): bad}),
+                      lambda: HomForm.from_coeffs(K, [1, bad]),
+                      lambda: HomForm.monomial(K, (1, 0), bad),
+                      lambda: f.scale(bad)):
+            with pytest.raises(ValidationError, match="outside"):
+                build()
+
+    def test_ints_reduce_over_a_prime_field(self):
+        K = FieldSpec(3)
+        f = HomForm(K, 2, 1, {(1, 0): 4, (0, 1): -1})
+        assert f == HomForm.from_coeffs(K, [1, 5]) == HomForm.from_coeffs(K, [1, 2])
+        assert f.terms == {(1, 0): 1, (0, 1): 2} and f.scale(5) == f.scale(2)
+        with pytest.raises(ValidationError, match="different field"):
+            HomForm.monomial(K, (1, 0), FieldSpec(5).one())
+
+
 class TestParser:
     def test_roundtrip_idempotent(self):
+        from hypothesis import given, settings, strategies as st
+
         K = FieldSpec(7)
         for text in ["x^5+y^5", "2*x^2*y+3*y^3", "x*y*(x+y)", "x1*x2*x3"]:
             f = parse_form(text, K)
             again = parse_form(f.as_text(), K, n=f.n)
             assert f == again
             assert again.as_text() == f.as_text()
+
+        fields = [FieldSpec(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]
+
+        @st.composite
+        def forms(draw):
+            K = draw(st.sampled_from(fields))
+            n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+            # an exponent vector of degree d: the gaps between n - 1 sorted cuts of [0, d]
+            cuts = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).map(sorted)
+            exps = cuts.map(lambda c: tuple(b - a for a, b in zip([0] + c, c + [d])))
+            terms = draw(st.dictionaries(exps, st.integers(1, K.q - 1), min_size=1, max_size=6))
+            return HomForm(K, n, d, terms)
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(forms())
+        def check(f):
+            again = parse_form(f.as_text(), f.field, n=f.n)
+            assert again == f and again.as_text() == f.as_text()
+
+        check()
 
     def test_generator_coefficients(self):
         K9 = FieldSpec(3, 2)

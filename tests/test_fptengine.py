@@ -213,7 +213,7 @@ class TestBinaryExact:
             if not res1.is_exact:
                 continue
             done += 1
-            lifted = HomForm(K2, 2, f.d, {e: GFElem(K2, c.enc) for e, c in f.terms.items()})
+            lifted = HomForm(K2, 2, f.d, f.terms)
             res2 = fpt_binary_exact(lifted, e_cap=2)
             assert res2.is_exact and res2.value == res1.value
 

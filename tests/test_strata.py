@@ -247,7 +247,7 @@ class TestOrbitCensus:
             M = [[GFElem(K, a), GFElem(K, b)], [GFElem(K, c), GFElem(K, d)]]
             images = [substitute_linear(f, M)]
             if k > 1:
-                images.append(HomForm(K, 2, f.d, {e: c.frobenius() for e, c in f.terms.items()}))
+                images.append(HomForm(K, 2, f.d, {e: K.frobi(c) for e, c in f.terms.items()}))
             want = fpt_binary_exact(f, e_cap=3)
             for h in images:
                 assert is_squarefree_binary(h) == is_squarefree_binary(f)
@@ -304,7 +304,7 @@ class TestOrbitCensus:
             seen = bytearray((K.q ** (d + 1) - 1) // (K.q - 1))
             walk.mark(walk.index(f.coeff_list()), seen)
             assert seen[walk.index(substitute_linear(f, M).coeff_list())]
-            conj = HomForm(K, 2, d, {e: c.frobenius() for e, c in f.terms.items()})
+            conj = HomForm(K, 2, d, {e: K.frobi(c) for e, c in f.terms.items()})
             assert seen[walk.index(conj.coeff_list())]
 
 
