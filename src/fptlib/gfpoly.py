@@ -151,7 +151,9 @@ class FieldSpec:
     Elements are integer encodings sum(c_i p^i) in [0, q) of c_0 + c_1 t +
     ..., and inside the library every coefficient is one; the *_i methods
     work on them.  `encode` reads a caller's coefficient; `elem` wraps a
-    value into a GFElem at the API edge, reading a plain int mod p.
+    value into a GFElem at the API edge, reading a plain int mod p over F_p
+    and refusing one outside [0, p) over F_{p^k}, k > 1, where the two
+    readings of an int would differ.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_prime", "_embed_cache")
@@ -318,7 +320,12 @@ class FieldSpec:
                 raise ValidationError("element belongs to a different field")
             return x
         if isinstance(x, int):
-            return GFElem(self, x % self.p)    # integers embed through the prime subfield
+            # integers embed through the prime subfield.  Over F_{p^k}, k > 1,
+            # only [0, p), where that reading and encode's agree, is taken
+            if self.k > 1 and not 0 <= x < self.p:
+                raise ValidationError(f"integer {x} is ambiguous in F_{self.q}: pass an "
+                                      f"integer in [0, {self.p}), a GFElem or a tuple of digits")
+            return GFElem(self, x % self.p)
         return GFElem(self, self.enc_of(x))
 
     def zero(self) -> "GFElem":
@@ -394,7 +401,8 @@ class GFElem:
         if isinstance(other, GFElem):
             return self.enc == other.enc and self.field == other.field
         if isinstance(other, int):
-            return self == self.field.elem(other)
+            F = self.field
+            return (F.k == 1 or 0 <= other < F.p) and self.enc == other % F.p
         return NotImplemented
 
     def __hash__(self):

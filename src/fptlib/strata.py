@@ -15,7 +15,10 @@ answer is an orbit invariant, so forms are counted by orbit under
 PGL_2(F_q) x| Gal(F_q/F_p), one squarefree test and one threshold per orbit.
 A census is one pass in index order: the orbit walk yields the classes, the
 thresholds come from ``map`` or, in order, from a worker pool, and the first
-class with a value is that value's witness.
+class with a value is that value's witness.  The walk moves between census
+indices through one index map per generator, built block by block inside
+each census call and dropped with it: a step is one array lookup and a byte
+set in the visited map, with no coefficient list and no re-indexing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import comb, gcd
 
 from .errors import AnomalyError, BudgetError, ValidationError
 from .forms import HomForm, in_frobenius_power, is_squarefree_binary
@@ -225,15 +228,6 @@ def _coeffs_of_index(g: int, d: int, q: int) -> list[int]:
     return coeffs
 
 
-def _table(q: int, op) -> list:
-    """op on every pair of encodings in [0, q), one row per first operand:
-    rows of bytes up to q = 256, of 4-byte integers above."""
-    if q <= 256:
-        return [bytes(op(a, b) for b in range(q)) for a in range(q)]
-    from array import array     # not at the top: loading it adds 0.1 MB to every process
-    return [array("I", [op(a, b) for b in range(q)]) for a in range(q)]
-
-
 def _primitive_element(K: FieldSpec) -> int:
     """The smallest encoding that generates the multiplicative group."""
     q = K.q
@@ -242,103 +236,134 @@ def _primitive_element(K: FieldSpec) -> int:
                 if all(K.powi(a, (q - 1) // r) != 1 for r in primes))
 
 
-class _OrbitWalk:
-    """Orbits of PGL_2(F_q) x| Gal(F_q/F_p) on the census indices of
-    degree-d binary forms.
+_CHUNK = 1 << 14        # map entries computed at once, as a list, before they go into an array
+
+
+def _orbit_maps(K: FieldSpec, d: int) -> list:
+    """One map of the census indices per generator of PGL_2(F_q) x| Gal(F_q/F_p)
+    acting on degree-d binary forms, each an array('I') of 4-byte entries.
 
     The generators act on coefficient lists [a_0, ..., a_d] (a_i the
-    coefficient of x^(d-i) y^i): x -> x+y, x <-> y, y -> a*y for a primitive
-    (left out over F_2), and coefficientwise Frobenius for k > 1.  The first
-    two give the unipotent matrices over F_p; conjugating x -> x+y by y -> a*y gives x -> x + a^j y,
-    whose sums reach every c in F_q = F_p[a], so with the diagonal matrices
-    they generate GL_2(F_q).  Field products, and sums for k > 1, come from
-    q x q tables.
+    coefficient of x^(d-i) y^i): x -> x+y, x <-> y, y -> b*y for b
+    primitive (left out over F_2), and coefficientwise Frobenius for k > 1.
+    The first two give the unipotent matrices over F_p; conjugating x -> x+y
+    by y -> b*y gives x -> x + b^j y, whose sums reach every c in F_q =
+    F_p[b], so with the diagonal matrices they generate GL_2(F_q).
+
+    Block t of the indices holds the classes whose first nonzero coefficient
+    is a 1 in slot t; index offset_t + h has the base-q digits of h as
+    a_(t+1), ..., a_d.  The maps are filled block by block, from the map of
+    block t+1 or from tables on the digits, never one class at a time, and
+    in chunks of at most _CHUNK entries:
+
+    - x -> x+y keeps that 1.  With a in slot t+1 and the rest r, the image
+      is a + (d-t) in slot t+1, then block t+1's image of r translated
+      digitwise by C(d-t-1, j+1) + a C(d-t-1, j) in slot t+1+j.
+    - y -> b*y multiplies slot i by b^(i-t), and Frobenius maps every digit:
+      block t's image is block t+1's image with one more digit below.
+    - x <-> y reverses the digits and divides them by the last nonzero one,
+      v in slot u.  The indices with that (u, v) form one strided slice of
+      block t, filled from one table of the digits strictly between slots t
+      and u, reversed and divided by v, shared by every t with that u - t.
     """
+    from array import array     # not at the top: loading it adds 0.1 MB to every process
+    q, p = K.q, K.p
+    offset = [(q ** (d + 1) - q ** (d + 1 - t)) // (q - 1) for t in range(d + 2)]
+    n = offset[d + 1]
 
-    def __init__(self, K: FieldSpec, d: int):
-        q = K.q
-        self.K, self.d, self.q = K, d, q
-        self.mul = _table(q, K.muli)
-        self.div = [None] + [self.mul[K.invi(c)] for c in range(1, q)]
-        # the classes whose first nonzero coefficient comes before slot t
-        self.offset = [(q ** (d + 1) - q ** (d + 1 - t)) // (q - 1) for t in range(d + 1)]
-        # over F_p the shift packs c into one integer, slots of s bits: its
-        # sums stay below p 2^(d+1)
-        self.s = K.p.bit_length() + d + 1
-        self.moves = [self.shift, self.swap]
-        if q > 2:
-            a = _primitive_element(K)
-            self.scales = [self.mul[K.powi(a, i)] for i in range(d + 1)]
-            self.moves.append(self.scale)
-        if K.k > 1:
-            self.add = _table(q, K.addi)
-            self.frob = [K.frobi(c) for c in range(q)]
-            self.moves.append(self.conjugate)
+    def translation(u: int, size: int, base: int) -> list[int]:
+        # x -> base + (x + u digitwise) on [0, size).  Sums in F_{p^k} are
+        # digitwise mod p on encodings, so x and u are read in base p
+        tab, w = [base], 1
+        while w < size:
+            c, wider = u // w % p, []
+            for a in range(p):
+                x = (a + c) % p * w
+                wider.extend([x + y for y in tab])
+            tab, w = wider, w * p
+        return tab
 
-    def shift(self, c: list[int]) -> list[int]:
-        # x -> x+y is a Taylor shift of f(x, 1) by one: additions only.  Over
-        # F_p it is Horner's rule for f(X + 1) on the packed integer, with
-        # X = 2^s, reduced once at the end
-        d = self.d
-        if self.K.k == 1:
-            s, p = self.s, self.K.p
-            acc = 0
-            for a in c:
-                acc += (acc << s) + a
-            mask = (1 << s) - 1
-            return [(acc >> s * i & mask) % p for i in range(d, -1, -1)]
-        c, add = list(c), self.add
-        for i in range(d):
-            for j in range(1, d + 1 - i):
-                c[j] = add[c[j]][c[j - 1]]
-        return c
+    def shift() -> array:
+        out = array("I", [0]) * n
+        out[n - 1] = n - 1          # y^d is fixed
+        for m in range(1, d + 1):      # block t = d - m, of m digits
+            lo, o, w = offset[d - m], offset[d - m + 1], q ** (m - 1)
+            binom = [comb(m - 1, j) % p for j in range(m + 1)]
+            for a in range(q):
+                u = 0
+                for j in range(1, m):
+                    u = u * q + K.addi(binom[j + 1], K.muli(a, binom[j]))
+                tau = translation(u, w, lo + K.addi(a, m % p) * w)
+                for i in range(0, w, _CHUNK):
+                    prev = out[o + i:o + min(i + _CHUNK, w)]
+                    at = lo + a * w + i
+                    out[at:at + len(prev)] = array("I", [tau[y - o] for y in prev])
+        return out
 
-    @staticmethod
-    def swap(c: list[int]) -> list[int]:
-        return c[::-1]
+    def swap() -> array:
+        out = array("I", [0]) * n
+        for t in range(d + 1):
+            out[offset[t]] = offset[d - t]    # x^(d-t) y^t <-> x^t y^(d-t)
+        for v in range(1, q):
+            w = K.invi(v)
+            row = [K.muli(w, a) for a in range(q)]
+            rev = array("I", [0])            # j digits, reversed and times w
+            for j in range(d):
+                if j:
+                    shifted, rev = [y * q for y in rev], array("I")
+                    for c in row:
+                        rev.extend([c + y for y in shifted])
+                for t in range(d - j):
+                    u = t + j + 1              # the slot of the last nonzero coefficient, v
+                    step, scale = q ** (d - u + 1), q ** (t + 1)
+                    start = offset[t] + v * q ** (d - u)
+                    base = offset[d - u] + w * q ** t
+                    for i in range(0, len(rev), _CHUNK):
+                        part = rev[i:i + _CHUNK]
+                        at = start + i * step
+                        out[at:at + len(part) * step:step] = \
+                            array("I", [base + y * scale for y in part])
+        return out
 
-    def scale(self, c: list[int]) -> list[int]:
-        return [row[a] for row, a in zip(self.scales, c)]
+    def digitwise(last) -> array:
+        # block t's image is block t+1's with the digit a in slot d appended
+        # as last[d - t][a]
+        out = array("I", [0]) * n
+        out[n - 1] = n - 1
+        step = max(1, _CHUNK // q)
+        for t in range(d - 1, -1, -1):
+            lo, o, hi = offset[t], offset[t + 1], offset[t + 2]
+            cs = [lo - o * q + c for c in last[d - t]]
+            for i in range(o, hi, step):
+                prev = [y * q for y in out[i:min(i + step, hi)]]
+                at = lo + (i - o) * q
+                out[at:at + len(prev) * q] = array("I", [y + c for y in prev for c in cs])
+        return out
 
-    def conjugate(self, c: list[int]) -> list[int]:
-        frob = self.frob
-        return [frob[a] for a in c]
+    maps = [shift(), swap()]
+    if q > 2:
+        b = _primitive_element(K)
+        maps.append(digitwise([[K.muli(K.powi(b, m), a) for a in range(q)]
+                               for m in range(d + 1)]))
+    if K.k > 1:
+        maps.append(digitwise([[K.frobi(a) for a in range(q)]] * (d + 1)))
+    return maps
 
-    def index(self, c: list[int]) -> int:
-        """The census index of c's scalar class: the inverse of
-        _coeffs_of_index after dividing by the first nonzero coefficient."""
-        q = self.q
-        t = 0
-        while not c[t]:
-            t += 1
-        g = 0
-        if c[t] == 1:
-            for a in c[t + 1:]:
-                g = g * q + a
-        else:
-            row = self.div[c[t]]
-            for a in c[t + 1:]:
-                g = g * q + row[a]
-        return self.offset[t] + g
 
-    def mark(self, g: int, seen: bytearray) -> int:
-        """Mark the orbit of index g in ``seen``, depth first, and return its
-        size.  The stack holds coefficient lists that need not be
-        normalized: a move takes scalar multiples of c to scalar multiples
-        of its image, and ``index`` divides the scalar out."""
-        moves, index = self.moves, self.index
-        seen[g] = 1
-        stack, size = [_coeffs_of_index(g, self.d, self.q)], 0
-        while stack:
-            c = stack.pop()
-            size += 1
-            for move in moves:
-                m = move(c)
-                j = index(m)
-                if not seen[j]:
-                    seen[j] = 1
-                    stack.append(m)
-        return size
+def _mark(maps, g: int, seen: bytearray) -> int:
+    """Mark the orbit of index g in ``seen``, depth first, and return its
+    size.  Each member costs one lookup in each generator's index map."""
+    seen[g] = 1
+    stack, size = [g], 0
+    while stack:
+        c = stack.pop()
+        size += 1
+        for m in maps:
+            j = m[c]
+            if not seen[j]:
+                seen[j] = 1
+                stack.append(j)
+    return size
 
 
 def _classes(K: FieldSpec, d: int):
@@ -350,12 +375,12 @@ def _classes(K: FieldSpec, d: int):
     conjugation (see fptengine), so each orbit is one class, weighted by its
     size.  An orbit is met first at its smallest index, which is the class's.
     """
-    walk = _OrbitWalk(K, d)
-    seen = bytearray((K.q ** (d + 1) - 1) // (K.q - 1))
-    for g in range(len(seen)):
-        if not seen[g]:
-            f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, K.q))
-            yield g, f, walk.mark(g, seen), is_squarefree_binary(f)
+    maps = _orbit_maps(K, d)
+    seen = bytearray(len(maps[0]))
+    g = 0
+    while (g := seen.find(0, g)) >= 0:
+        f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, K.q))
+        yield g, f, _mark(maps, g, seen), is_squarefree_binary(f)
 
 
 def _threshold(cls, e_cap: int, reduced_only: bool):
@@ -381,6 +406,11 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
     fly; a violation raises AnomalyError.  Interval-only results are counted
     as unresolved; with ``reduced_only`` non-reduced orbits get no threshold
     and are counted as skipped.
+
+    The walk holds 4 bytes per class for each generator's index map and 1
+    for the visited map: 9 bytes per class over F_2, 13 over other prime
+    fields and 17 over F_{p^k}, k > 1, plus a table of q^(d-1) ints while
+    the maps are built.
     """
     if d < 2:
         raise ValidationError("census needs d >= 2")

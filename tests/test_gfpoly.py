@@ -74,6 +74,37 @@ class TestFieldArithmetic:
         assert A.muli(4, 5) == B.muli(4, 5)
         assert A._mul_table is not None and A._mul_table is B._mul_table
 
+    def test_ints_past_the_prime_field_refused_at_the_edge(self):
+        # over F_9 an int in [0, 3) is the same element read mod p or as an
+        # encoding; any other int would be read two ways (5 mod 3 = 2, but
+        # encoding 5 is t+2), so elem, GFElem arithmetic and UPoly.__call__
+        # refuse it and == is False
+        from fptlib import HomForm
+
+        K = FieldSpec(3, 2)
+        assert HomForm.monomial(K, (1,), 5).coeff((1,)) == K.gen() + 2
+        for bad in (5, 3, 9, -1):
+            with pytest.raises(ValidationError, match="ambiguous"):
+                K.elem(bad)
+            for op in (lambda a: a + bad, lambda a: bad + a, lambda a: a - bad,
+                       lambda a: bad - a, lambda a: a * bad, lambda a: bad * a,
+                       lambda a: a / bad):
+                with pytest.raises(ValidationError, match="ambiguous"):
+                    op(K.one())
+            with pytest.raises(ValidationError, match="ambiguous"):
+                UPoly(K, (0, 1))(bad)
+            assert K.one() * 2 != bad and K.gen() + 2 != bad
+        assert K.elem(2) == 2 and K.one() * 2 == K.elem(2) and K.gen() + 1 != 1
+        assert UPoly(K, (0, 1))(2) == K.elem(2)
+        assert UPoly(K, (1, 1))(K.gen()) == K.gen() + 1
+
+    def test_ints_read_mod_p_over_prime_fields(self):
+        K = FieldSpec(5)
+        assert K.elem(12) == K.elem(2)
+        assert K.elem(2) == 12 and K.elem(2) == -3
+        assert K.one() * 7 == 2 and 7 - K.one() == K.elem(1)
+        assert UPoly(K, (0, 1))(8) == K.elem(3)
+
     def test_embedding_prime_subfield(self):
         K3, K9 = FieldSpec(3), FieldSpec(3, 2)
         emb = K9.embedding_from(K3)

@@ -159,19 +159,38 @@ class TestCensus:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_index_walked_once(self, monkeypatch, workers):
         # the orbit walk stays in this process whatever the number of
-        # workers, and its orbits partition the indices
-        from fptlib.strata import _OrbitWalk
+        # workers, its orbits partition the indices, and the class weights
+        # add up to the whole space
+        from fptlib import strata
 
-        sizes = []
-        mark = _OrbitWalk.mark
+        orbits = []
+        mark = strata._mark
 
-        def counted(self, g, seen):
-            sizes.append(mark(self, g, seen))
-            return sizes[-1]
+        def recorded(maps, g, seen):
+            before = bytes(seen)
+            size = mark(maps, g, seen)
+            orbits.append({j for j, (a, b) in enumerate(zip(before, seen)) if a != b})
+            assert g in orbits[-1] and size == len(orbits[-1])
+            return size
 
-        monkeypatch.setattr(_OrbitWalk, "mark", counted)
+        monkeypatch.setattr(strata, "_mark", recorded)
         rep = census(5, 5, reduced_only=True, workers=workers)
-        assert sum(sizes) == rep.total
+        assert sum(map(len, orbits)) == rep.total
+        assert set().union(*orbits) == set(range(rep.total))
+        weights = sum(r.count_reduced + r.count_nonreduced for r in rep.records.values())
+        assert weights + rep.unresolved + rep.skipped_nonreduced == rep.total
+
+
+def _census_index(coeffs, K):
+    """The census index of a nonzero coefficient list: its scalar class's
+    representative (first nonzero coefficient 1) in lexicographic order."""
+    q, d = K.q, len(coeffs) - 1
+    t = next(i for i, c in enumerate(coeffs) if c)
+    inv = K.invi(coeffs[t])
+    g = 0
+    for c in coeffs[t + 1:]:
+        g = g * q + K.muli(inv, c)
+    return (q ** (d + 1) - q ** (d + 1 - t)) // (q - 1) + g
 
 
 def _per_form_census(d, p, k, reduced_only, e_cap=2):
@@ -218,6 +237,16 @@ class TestOrbitCensus:
         assert census(d, p, k, reduced_only=reduced_only).to_dict() == want
         assert census(d, p, k, reduced_only=reduced_only, workers=3).to_dict() == want
 
+    @_SLOW
+    @pytest.mark.parametrize("d,p,want", [(7, 5, {Q(1, 5), Q(7, 25)}),
+                                          (5, 11, {Q(2, 5), Q(4, 11)})])
+    def test_reduced_values_match_tables(self, d, p, want):
+        # spaces of 97,656 and 177,156 classes, past the per-form reference
+        from fptlib.tables import reduced_fpt_values
+
+        assert reduced_fpt_values(d, p) == want
+        assert census(d, p, reduced_only=True).reduced_values() == want
+
     @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2)])
     def test_threshold_invariant_under_gl2_and_frobenius(self, p, k):
         # the orbit census counts one threshold for a whole orbit, reduced or
@@ -258,8 +287,8 @@ class TestOrbitCensus:
         check()
 
     def test_quadrics_past_byte_tables(self):
-        # q = 257 > 256 takes the 4-byte product tables: the q^2 squarefree
-        # quadrics carry 1, the q + 1 squares of linear forms 1/2
+        # q = 257 > 256: field encodings no longer fit a byte.  The q^2
+        # squarefree quadrics carry 1, the q + 1 squares of linear forms 1/2
         rep = census(2, 257)
         assert {v: (r.count_reduced, r.count_nonreduced) for v, r in rep.records.items()} == \
             {Q(1): (257 ** 2, 0), Q(1, 2): (0, 258)}
@@ -267,22 +296,23 @@ class TestOrbitCensus:
     def test_orbit_walk_round_trips_indices(self):
         # every generator maps census indices to census indices, and over
         # F_7 the 19,608 quintic classes fall into 73 orbits
-        from fptlib.strata import _coeffs_of_index, _OrbitWalk
+        from fptlib.strata import _coeffs_of_index, _mark, _orbit_maps
 
         K = FieldSpec(7)
-        walk = _OrbitWalk(K, 5)
+        maps = _orbit_maps(K, 5)
         total = (7 ** 6 - 1) // 6
+        assert all(len(m) == total and max(m) < total for m in maps)
         for g in range(0, total, 97):
-            assert walk.index(_coeffs_of_index(g, 5, 7)) == g
+            assert _census_index(_coeffs_of_index(g, 5, 7), K) == g
         seen = bytearray(total)
         orbits = 0
         for g in range(total):
             if not seen[g]:
                 # the first unseen index is the smallest in its orbit
                 orbit = bytearray(total)
-                size = walk.mark(g, orbit)
+                size = _mark(maps, g, orbit)
                 assert orbit.index(1) == g and size == orbit.count(1)
-                walk.mark(g, seen)
+                _mark(maps, g, seen)
                 orbits += 1
         assert orbits == 73 and all(seen)
 
@@ -291,10 +321,10 @@ class TestOrbitCensus:
         # a walked orbit holds f∘M for every invertible M, and f's Frobenius
         # conjugate: the generators reach all of PGL_2(F_q) x| Gal(F_q/F_p)
         from fptlib import HomForm, random_form, substitute_linear
-        from fptlib.strata import _OrbitWalk
+        from fptlib.strata import _mark, _orbit_maps
 
         K = FieldSpec(p, k)
-        walk = _OrbitWalk(K, d)
+        maps = _orbit_maps(K, d)
         rng = random.Random(d * p * k)
         for _ in range(20):
             f = random_form(K, 2, d, rng)
@@ -302,10 +332,40 @@ class TestOrbitCensus:
             if not M[0][0] * M[1][1] - M[0][1] * M[1][0]:
                 continue
             seen = bytearray((K.q ** (d + 1) - 1) // (K.q - 1))
-            walk.mark(walk.index(f.coeff_list()), seen)
-            assert seen[walk.index(substitute_linear(f, M).coeff_list())]
+            _mark(maps, _census_index(f.coeff_list(), K), seen)
+            assert seen[_census_index(substitute_linear(f, M).coeff_list(), K)]
             conj = HomForm(K, 2, d, {e: K.frobi(c) for e, c in f.terms.items()})
-            assert seen[walk.index(conj.coeff_list())]
+            assert seen[_census_index(conj.coeff_list(), K)]
+
+    @pytest.mark.parametrize("d,p,k", [(6, 2, 1), (4, 3, 1), (3, 5, 1), (4, 2, 2), (3, 3, 2),
+                                       (3, 2, 3), (2, 2, 4)])
+    def test_index_maps_match_substitution(self, d, p, k):
+        # each generator's map permutes [0, n) and sends every class to the
+        # class of its image under x -> x+y, x <-> y, y -> b*y (b primitive,
+        # q > 2) and Frobenius (k > 1), taken form by form
+        from fptlib import HomForm, substitute_linear
+        from fptlib.strata import _coeffs_of_index, _orbit_maps, _primitive_element
+
+        K = FieldSpec(p, k)
+        q = K.q
+        total = (q ** (d + 1) - 1) // (q - 1)
+        maps = _orbit_maps(K, d)
+        moves = [lambda f, M=M: substitute_linear(f, M).coeff_list()
+                 for M in ([[1, 1], [0, 1]], [[0, 1], [1, 0]])]
+        if q > 2:
+            b = _primitive_element(K)
+            moves.append(lambda f: substitute_linear(f, [[1, 0], [0, b]]).coeff_list())
+        if k > 1:
+            moves.append(lambda f: [K.frobi(c) for c in f.coeff_list()])
+        assert len(maps) == len(moves)
+        for m in maps:
+            assert sorted(m) == list(range(total))
+        for g in range(total):
+            f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, q))
+            for m, move in zip(maps, moves):
+                c = move(f)
+                lead = K.invi(next(a for a in c if a))
+                assert _coeffs_of_index(m[g], d, q) == [K.muli(lead, a) for a in c], (g, c)
 
 
 class TestWitnessSearch:
