@@ -3,6 +3,11 @@
 Coefficients are plain field encodings, ints in [0, q), throughout: terms,
 residues and parsed text.  A caller's coefficient enters through
 FieldSpec.encode; GFElem comes out only from HomForm.coeff and coeff_of_power.
+The public constructors and parse_form check every exponent and coefficient.
+Forms the library builds itself, from encodings it knows to be nonzero and
+exponent tuples it knows to have length n and sum d (census classes, scale
+and monic, perfect-power roots, powers and linear substitutions), go through
+the private HomForm._of, which checks nothing.
 
 The central computation is the residue of f^N modulo the monomial ideal
 (x_1^{p^e}, ..., x_n^{p^e}).  One engine, the digit ladder, does it in every
@@ -33,7 +38,9 @@ the same packing with the same product.
 Packed exponents compare as integers in a lex order (x_n most significant),
 and a lex order is a monomial order, so the perfect-power check takes m-th
 roots on the same packing, one term at a time from the top down, in any
-arity.  The squarefree test of a binary form sets y = 1.
+arity.  The squarefree test of a binary form sets y = 1: with f(x, 1) =
+x^v h(x), h(0) != 0, it reads v, deg h and gcd(h, h'), and the gcd is kept
+on the form for the threshold engine's dominant-factor search.
 """
 
 from __future__ import annotations
@@ -56,11 +63,15 @@ class HomForm:
     """A nonzero homogeneous polynomial of degree d in n variables.
 
     ``terms`` maps exponent vectors (tuples of length n summing to d) to
-    nonzero encodings.  The constructors and ``scale`` read coefficients
-    with FieldSpec.encode: a GFElem, an encoding, or over F_p any int.
+    nonzero encodings.  The public constructors and ``scale`` read
+    coefficients with FieldSpec.encode: a GFElem, an encoding, or over F_p
+    any int.  ``HomForm._of(field, n, d, terms)`` is the private trusted
+    constructor: it takes ``terms`` as it is, so it must be a nonempty dict
+    of nonzero encodings in [0, q) keyed by tuples of n non-negative ints
+    summing to d, in the insertion order the form should keep.
     """
 
-    __slots__ = ("n", "d", "field", "terms", "_key", "_squarefree")
+    __slots__ = ("n", "d", "field", "terms", "_key", "_affine", "_repeated")
 
     def __init__(self, field: FieldSpec, n: int, d: int, terms: dict):
         if n < 1:
@@ -84,8 +95,15 @@ class HomForm:
         self.n = n
         self.d = d
         self.terms = clean
-        self._key = None
-        self._squarefree = None
+        self._key = self._affine = self._repeated = None
+
+    @classmethod
+    def _of(cls, field: FieldSpec, n: int, d: int, terms: dict) -> "HomForm":
+        """Trusted: ``terms`` meets the class's precondition; nothing is checked."""
+        f = cls.__new__(cls)
+        f.field, f.n, f.d, f.terms = field, n, d, terms
+        f._key = f._affine = f._repeated = None
+        return f
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -137,7 +155,7 @@ class HomForm:
         ce = F.encode(c)
         if not ce:
             raise ValidationError("cannot scale a form by zero")
-        return HomForm(F, self.n, self.d, {e: F.muli(v, ce) for e, v in self.terms.items()})
+        return HomForm._of(F, self.n, self.d, {e: F.muli(v, ce) for e, v in self.terms.items()})
 
     def monic(self) -> "HomForm":
         """Normalize so the lexicographically largest exponent has coefficient 1."""
@@ -373,18 +391,33 @@ def coeff_of_power(f: HomForm, N: int, j: int):
 # squarefree binary forms and perfect powers
 # ---------------------------------------------------------------------------
 
+def affine_part(f: HomForm) -> tuple[int, UPoly]:
+    """(v, h) with f(x, 1) = x^v h(x) and h(0) != 0, for a binary form; kept
+    on the form."""
+    if f._affine is None:
+        cs = f.coeff_list()[::-1]
+        v = next(a for a, c in enumerate(cs) if c)
+        f._affine = v, UPoly._of(f.field, cs[v:])
+    return f._affine
+
+
+def repeated_part(f: HomForm) -> UPoly:
+    """gcd(h, h') for h as in affine_part: its roots are h's repeated
+    roots, and it is 1 exactly when h is squarefree (h' = 0 gives monic h).
+    Computed once per form and kept on it."""
+    if f._repeated is None:
+        h = affine_part(f)[1]
+        f._repeated = h.gcd(h.derivative())
+    return f._repeated
+
+
 def is_squarefree_binary(f: HomForm) -> bool:
     """True iff the binary form has no repeated linear factor over the closure."""
     if f.n != 2:
         raise ValidationError("squarefree test requires a binary form")
-    if f._squarefree is None:
-        # f at y = 1 is x^v * h(x) with h(0) != 0: x has multiplicity v and
-        # y has d - v - deg h
-        cs = f.coeff_list()[::-1]
-        v = next(a for a, c in enumerate(cs) if c)
-        h = UPoly(f.field, cs[v:])
-        f._squarefree = v <= 1 and f.d - v - h.degree <= 1 and (h.degree == 0 or h.is_squarefree())
-    return f._squarefree
+    # x has multiplicity v and y has d - v - deg h
+    v, h = affine_part(f)
+    return v <= 1 and f.d - v - h.degree <= 1 and repeated_part(f).degree == 0
 
 
 def _scalar_root(field: FieldSpec, c_enc: int, r: int) -> int | None:
@@ -505,13 +538,13 @@ def perfect_power_decompose(f: HomForm) -> tuple[HomForm, int]:
             H[_pack(e, s) // ps] = c
         g = H if m == 1 else _mth_root(H, m, n, s, F)
         if g is not None:
-            return HomForm(F, n, f.d // r, {_unpack(w, n, s): c for w, c in g.items()}), r
+            return HomForm._of(F, n, f.d // r, {_unpack(w, n, s): c for w, c in g.items()}), r
     return f, 1
 
 
 def _form_pow(f: HomForm, r: int) -> HomForm:
     lad = ResidueLadder(f, 0, f.d * r + 1, bounded=False).climb(r)
-    return HomForm(f.field, f.n, f.d * r, lad.residue())
+    return HomForm._of(f.field, f.n, f.d * r, lad.residue())
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +588,7 @@ def substitute_linear(f: HomForm, T) -> HomForm:
             for _ in range(a):
                 term = _mul(term, linear[i], 0, 0, F)
         _addmul(out, term, c, 0, F)
-    return HomForm(F, n, f.d, {_unpack(w, n, s): c for w, c in out.items()})
+    return HomForm._of(F, n, f.d, {_unpack(w, n, s): c for w, c in out.items()})
 
 
 def random_form(field: FieldSpec, n: int, d: int, rng: random.Random) -> HomForm:
@@ -586,7 +619,10 @@ class _Parser:
     """Recursive descent for '+/-'-joined products of integers, variables
     x, y, x1..xn, the field generator t, parenthesized subexpressions, and
     '^' powers.  Evaluates to a dict from packed exponents (_PARSE_BITS per
-    variable) to field encodings, multiplying with the residue kernel's _mul."""
+    variable) to field encodings, multiplying with the residue kernel's _mul.
+
+    Whitespace is skipped once, after each token (and before the first), so
+    ``pos`` always rests on a token or at the end and ``peek`` only reads."""
 
     def __init__(self, text: str, field: FieldSpec, n_hint: int | None):
         self.text = text
@@ -595,34 +631,45 @@ class _Parser:
         self.n = n_hint
         self.max_var = 0
         self.guard = 0          # the guard bit of every variable seen so far
+        self.skip()
 
     def error(self, msg: str):
         raise ParseError(msg, self.pos)
 
+    def skip(self) -> None:
+        """Move past the whitespace that follows a token."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+
+    def take(self) -> None:
+        """Consume a one-character token."""
+        self.pos += 1
+        self.skip()
+
     def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def expr(self) -> dict:
         F = self.field
         acc: dict = {}
         ch = self.peek()
         if ch in ("+", "-"):
-            self.pos += 1
+            self.take()
         while True:
             _addmul(acc, self.term(), F.negi(1) if ch == "-" else 1, 0, F)
             ch = self.peek()
             if ch not in ("+", "-"):
                 return acc
-            self.pos += 1
+            self.take()
 
     def term(self) -> dict:
         acc = self.factor()
         while True:
             ch = self.peek()
             if ch == "*":
-                self.pos += 1
+                self.take()
             elif not (ch.isalnum() or ch == "("):
                 return acc
             # "*" or an implicit product, e.g. "2x" or "x(x+y)"
@@ -644,8 +691,9 @@ class _Parser:
     def factor(self) -> dict:
         base = self.atom()
         while self.peek() == "^":
-            self.pos += 1
+            self.take()
             base = self._power(base, self.integer())
+            self.skip()
         return base
 
     def _power(self, base: dict, k: int) -> dict:
@@ -678,19 +726,21 @@ class _Parser:
         if ch == "":
             self.error("unexpected end of input")
         if ch == "(":
-            self.pos += 1
+            self.take()
             inner = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
-            self.pos += 1
+            self.take()
             return inner
         if ch.isdigit():
             c = self.integer() % self.field.p
+            self.skip()
             return {0: c} if c else {}
         if ch == "t":
             self.pos += 1
             if self.field.k == 1:
                 self.error("generator t is undefined over a prime field")
+            self.skip()
             return {0: self.field.gen().enc}
         if ch in ("x", "y"):
             self.pos += 1
@@ -707,11 +757,12 @@ class _Parser:
                     self.error(f"more than {w} variables need an explicit n")
                 self.error(f"variable index {idx + 1} exceeds n={w}")
             self.guard |= 1 << _PARSE_BITS * (idx + 1) - 1
+            self.skip()
             return {1 << _PARSE_BITS * idx: 1}
         self.error(f"unexpected character {ch!r}")
 
     def integer(self) -> int:
-        self.peek()
+        """The digits at ``pos``; the caller skips the whitespace after them."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AnomalyError, ValidationError
-from .forms import (HomForm, ResidueLadder, in_frobenius_power, is_squarefree_binary,
-                    perfect_power_decompose)
+from .forms import (HomForm, ResidueLadder, affine_part, in_frobenius_power,
+                    is_squarefree_binary, perfect_power_decompose, repeated_part)
 from .gfpoly import UPoly
 from .ratbase import mult_order
 
@@ -152,7 +152,8 @@ def _dominant_factor(f: HomForm) -> int:
     Coordinates are read off the exponents in any arity.  A binary form
     that is not squarefree is also searched for a factor x - r y, r != 0:
     a root r of h(x) = f(x, 1) / x^v of multiplicity a >= 2 is a root of
-    gcd(h, h'), whose degree is then at least a - 1.
+    gcd(h, h'), whose degree is then at least a - 1.  The squarefree test
+    has usually computed that gcd already (forms.repeated_part).
     """
     d, F = f.d, f.field
     a = max(min(e[i] for e in f.terms) for i in range(f.n))
@@ -161,15 +162,14 @@ def _dominant_factor(f: HomForm) -> int:
     if f.n != 2:
         return 0
     need = (d + 1) // 2
-    cs = f.coeff_list()[::-1]           # f(x, 1) in ascending powers of x
-    h = UPoly(F, cs[min(e[0] for e in f.terms):])
+    h = affine_part(f)[1]
     if h.degree < need:
         return 0
-    g = h.gcd(h.derivative())
+    g = repeated_part(f)
     if g.degree < need - 1:
         return 0
     for r in g.roots_in():
-        lin, a = UPoly(F, (F.negi(r), 1)), 0
+        lin, a = UPoly._of(F, [F.negi(r), 1]), 0
         quo, rem = h.divmod(lin)
         while not rem:
             h, a = quo, a + 1

@@ -33,7 +33,11 @@ _MUL_TABLES: dict = {}      # (p, k, modulus) -> multiplication table
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over any FieldSpec F, on lists (or tuples) of
 # encodings in ascending degree.  UPoly wraps these routines; the modulus
-# search and _mul_raw call them over the prime field.  Field operations are
+# search and _mul_raw call them over the prime field.  Over F_p (F.k == 1)
+# the product, the division and the gcd's monic step work on plain ints:
+# the product sums raw pair products and reduces once per output term, and
+# the division reduces each coefficient mod p once, when it is read or
+# returned.  Over F_{p^k}, k > 1, each pair goes through F.muli and F.addi,
 # looked up on F at each call, never bound at import.
 # ---------------------------------------------------------------------------
 
@@ -47,8 +51,15 @@ def _pmul(a, b, F: "FieldSpec") -> list[int]:
     """a * b; trimmed when a and b are."""
     if not a or not b:
         return []
-    mul, add = F.muli, F.addi
     out = [0] * (len(a) + len(b) - 1)
+    if F.k == 1:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        p = F.p
+        return [c % p for c in out]
+    mul, add = F.muli, F.addi
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -61,12 +72,23 @@ def _pdivmod(a, b, F: "FieldSpec") -> tuple[list[int], list[int]]:
     """Quotient and trimmed remainder of a by b (b trimmed and nonzero)."""
     if not b:
         raise ValidationError("division by zero polynomial")
-    mul, add = F.muli, F.addi
     rem = list(a)
     db = len(b) - 1
     inv = F.invi(b[-1])
     low = [(t, bt) for t, bt in enumerate(b[:db]) if bt]    # field moduli are sparse
     q = [0] * max(0, len(rem) - db)
+    if F.k == 1:
+        p = F.p
+        while len(rem) > db:
+            c = rem.pop() % p
+            if c:
+                off = len(rem) - db
+                q[off] = c = c * inv % p
+                c = p - c
+                for t, bt in low:
+                    rem[off + t] += c * bt
+        return q, _trim([c % p for c in rem])
+    mul, add = F.muli, F.addi
     while len(rem) > db:
         c = rem.pop()
         if c:
@@ -85,6 +107,9 @@ def _pgcd(a, b, F: "FieldSpec") -> list[int]:
     if not a:
         return []
     inv = F.invi(a[-1])
+    if F.k == 1:
+        p = F.p
+        return [c * inv % p for c in a]
     return [F.muli(c, inv) for c in a]
 
 
@@ -467,6 +492,11 @@ class UPoly:
     """Univariate polynomial over F_{p^k}; coefficients stored as encodings,
     ascending degree, trailing zeros trimmed.  The zero polynomial has an
     empty coefficient tuple and degree -1.
+
+    ``UPoly(field, coeffs)`` reads each coefficient with FieldSpec.encode.
+    The private ``UPoly._of(field, cs)`` trusts a list of encodings in
+    [0, q) and only trims it; the results of the dense routines, of
+    derivative, scale and the ring operations come through it.
     """
 
     __slots__ = ("field", "coeffs")
@@ -477,6 +507,14 @@ class UPoly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, cs: list[int]) -> "UPoly":
+        """Trusted: ``cs`` is a list of encodings in [0, q), trimmed here."""
+        u = cls.__new__(cls)
+        u.field = field
+        u.coeffs = tuple(_trim(cs))
+        return u
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -545,7 +583,7 @@ class UPoly:
     def _bin(self, other, op):
         F = self.field
         n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(F, [op(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return UPoly._of(F, [op(self.coeff(i), other.coeff(i)) for i in range(n)])
 
     def __add__(self, other):
         return self._bin(other, self.field.addi)
@@ -555,15 +593,15 @@ class UPoly:
 
     def __neg__(self):
         F = self.field
-        return UPoly(F, [F.negi(c) for c in self.coeffs])
+        return UPoly._of(F, [F.negi(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        return UPoly(self.field, _pmul(self.coeffs, other.coeffs, self.field))
+        return UPoly._of(self.field, _pmul(self.coeffs, other.coeffs, self.field))
 
     def scale(self, c) -> "UPoly":
         F = self.field
         ce = F.encode(c)
-        return UPoly(F, [F.muli(ce, a) for a in self.coeffs])
+        return UPoly._of(F, [F.muli(ce, a) for a in self.coeffs])
 
     def monic(self) -> "UPoly":
         if self.is_zero():
@@ -572,22 +610,25 @@ class UPoly:
 
     def divmod(self, other) -> tuple["UPoly", "UPoly"]:
         q, r = _pdivmod(self.coeffs, other.coeffs, self.field)
-        return UPoly(self.field, q), UPoly(self.field, r)
+        return UPoly._of(self.field, q), UPoly._of(self.field, r)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
 
     def gcd(self, other) -> "UPoly":
         """Monic greatest common divisor; gcd(f, 0) = monic(f)."""
-        return UPoly(self.field, _pgcd(self.coeffs, other.coeffs, self.field))
+        return UPoly._of(self.field, _pgcd(self.coeffs, other.coeffs, self.field))
 
     def derivative(self) -> "UPoly":
-        F = self.field
-        return UPoly(F, [F.muli(i % F.p, self.coeff(i)) for i in range(1, len(self.coeffs))])
+        F, cs = self.field, self.coeffs
+        if F.k == 1:
+            p = F.p
+            return UPoly._of(F, [i * cs[i] % p for i in range(1, len(cs))])
+        return UPoly._of(F, [F.muli(i % F.p, cs[i]) for i in range(1, len(cs))])
 
     def pow(self, n: int, mod: "UPoly | None" = None) -> "UPoly":
         m = None if mod is None else mod.coeffs
-        return UPoly(self.field, _ppowmod(self.coeffs, n, m, self.field))
+        return UPoly._of(self.field, _ppowmod(self.coeffs, n, m, self.field))
 
     def eval_enc(self, x_enc: int) -> int:
         F = self.field
@@ -601,20 +642,15 @@ class UPoly:
 
     # -- structure ---------------------------------------------------------------
     def is_squarefree(self) -> bool:
-        """No repeated roots over the algebraic closure.
+        """No repeated roots over the algebraic closure: gcd(f, f') = 1.
 
-        If f' != 0 this is gcd(f, f') being constant; if f' = 0 then f is a
-        polynomial in u^p, hence a p-th power over a perfect field, and so
-        not squarefree unless constant.
+        If f' = 0 the gcd is monic f, of positive degree unless f is
+        constant: f is then a polynomial in u^p, hence a p-th power over a
+        perfect field.
         """
         if self.is_zero():
             raise ValidationError("squarefree test on the zero polynomial")
-        if self.degree == 0:
-            return True
-        d = self.derivative()
-        if d.is_zero():
-            return False
-        return self.gcd(d).degree == 0
+        return self.gcd(self.derivative()).degree == 0
 
     def map_to(self, target: FieldSpec) -> "UPoly":
         emb = target.embedding_from(self.field)

@@ -379,7 +379,9 @@ def _classes(K: FieldSpec, d: int):
     seen = bytearray(len(maps[0]))
     g = 0
     while (g := seen.find(0, g)) >= 0:
-        f = HomForm.from_coeffs(K, _coeffs_of_index(g, d, K.q))
+        # nonzero encodings in slot order: from_coeffs' terms, unchecked
+        f = HomForm._of(K, 2, d, {(d - i, i): c
+                                  for i, c in enumerate(_coeffs_of_index(g, d, K.q)) if c})
         yield g, f, _mark(maps, g, seen), is_squarefree_binary(f)
 
 

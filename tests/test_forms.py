@@ -19,9 +19,11 @@ from fptlib import (
     perfect_power_decompose,
     pow_mod_frobenius,
     random_form,
+    strata,
     substitute_linear,
     trinomial_obstructions,
 )
+from fptlib.forms import _form_pow
 
 # ---------------------------------------------------------------------------
 # an independent oracle: completely naive expansion of f^N, then filtering
@@ -536,6 +538,62 @@ class TestCoefficientConvention:
         assert f.terms == {(1, 0): 1, (0, 1): 2} and f.scale(5) == f.scale(2)
         with pytest.raises(ValidationError, match="different field"):
             HomForm.monomial(K, (1, 0), FieldSpec(5).one())
+
+
+def _refused_builds():
+    K, K9 = FieldSpec(5), FieldSpec(3, 2)
+    return {
+        "exponents-too-long": lambda: HomForm(K, 2, 3, {(1, 1, 1): 1}),
+        "exponents-too-short": lambda: HomForm(K, 3, 3, {(3, 0): 1}),
+        "negative-exponent": lambda: HomForm(K, 2, 2, {(3, -1): 1}),
+        "coeff-list-length": lambda: HomForm.from_coeffs(K, [1, 2], d=3),
+        "wrong-degree": lambda: HomForm(K, 2, 3, {(3, 0): 1, (1, 0): 1}),
+        "zero-terms": lambda: HomForm(K, 2, 2, {(2, 0): 0, (1, 1): 5}),
+        "zero-coeffs": lambda: HomForm.from_coeffs(K, [0, 0, 0]),
+        "zero-monomial": lambda: HomForm.monomial(K, (1, 1), 0),
+        "f9-dict": lambda: HomForm(K9, 2, 1, {(1, 0): 9}),
+        "f9-coeffs": lambda: HomForm.from_coeffs(K9, [1, 14]),
+        "f9-monomial": lambda: HomForm.monomial(K9, (2,), -1),
+        "parse-zero": lambda: parse_form("x*y-x*y", K),
+        "parse-inhomogeneous": lambda: parse_form("x^2+y", K),
+    }
+
+
+class TestTrustedConstructor:
+    """HomForm._of takes the forms the library builds itself without checks;
+    each must be the form the public constructors build from the same terms."""
+
+    @staticmethod
+    def assert_same(f, g):
+        assert list(f.terms.items()) == list(g.terms.items())     # insertion order too
+        assert f.key() == g.key() and f.as_text() == g.as_text()
+
+    @pytest.mark.parametrize("d,p,k", [(5, 3, 1), (4, 5, 1), (3, 2, 3), (3, 3, 2)])
+    def test_census_classes_equal_from_coeffs(self, d, p, k):
+        K = FieldSpec(p, k)
+        for g, f, _, _ in strata._classes(K, d):
+            self.assert_same(f, HomForm.from_coeffs(K, strata._coeffs_of_index(g, d, K.q)))
+
+    @pytest.mark.parametrize("p,k,n,d", [(3, 1, 2, 4), (5, 1, 3, 2), (2, 2, 2, 3),
+                                         (3, 2, 3, 2), (7, 1, 2, 5)])
+    def test_derived_forms_pass_the_public_checks(self, p, k, n, d):
+        K, rng = FieldSpec(p, k), random.Random(p * 100 + k * 10 + n)
+        m = 3 if p == 2 else 2              # an m-th root with p not dividing m
+        for _ in range(8):
+            f = random_form(K, n, d, rng)
+            T = [[1 if i == j else rng.randrange(K.q) * (j > i) for j in range(n)]
+                 for i in range(n)]
+            derived = [f.scale(rng.randrange(1, K.q)), f.monic(), _form_pow(f, m),
+                       perfect_power_decompose(_form_pow(f, m).monic())[0],
+                       perfect_power_decompose(_form_pow(f, p).monic())[0],
+                       substitute_linear(f, T), substitute_linear(f, T[::-1])]
+            for g in derived:
+                self.assert_same(g, HomForm(g.field, g.n, g.d, g.terms))
+
+    @pytest.mark.parametrize("name", sorted(_refused_builds()))
+    def test_public_constructors_keep_their_checks(self, name):
+        with pytest.raises(ValidationError):
+            _refused_builds()[name]()
 
 
 class TestParser:

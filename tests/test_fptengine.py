@@ -7,6 +7,7 @@ from fptlib import (
     FieldSpec,
     GFElem,
     HomForm,
+    UPoly,
     ValidationError,
     fpt_binary_exact,
     fpt_bounds,
@@ -282,6 +283,21 @@ class TestDominantFactor:
         res = fpt_general(parse_form("(x+t*y)^5*(x^2+x*y+t*y^2)", FieldSpec(2, 8)))
         assert res.value == Q(1, 5) and res.method == "dominant-factor"
         assert [(c.N, c.e, c.member) for c in res.certificates] == [(1, 3, False), (2, 3, True)]
+
+    def test_one_gcd_per_form(self, monkeypatch):
+        # the squarefree test's gcd(h, h') is the dominant-factor search's
+        # too; over F_5 the roots come from a scan, so no other gcd is taken
+        calls = []
+        gcd = UPoly.gcd
+
+        def counted(h, other):
+            calls.append(h)
+            return gcd(h, other)
+
+        monkeypatch.setattr(UPoly, "gcd", counted)
+        res = fpt_general(parse_form("(x+2*y)^3*(x^2+y^2)", FieldSpec(5)))
+        assert res.value == Q(1, 4) and res.method == "dominant-factor"
+        assert len(calls) == 1
 
     def test_half_the_degree_needs_a_rational_factor(self):
         # x^2+y^2 splits over F_5 but not over F_3

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fptlib import FieldSpec, GFElem, UPoly, ValidationError
-from fptlib.gfpoly import _TABLE_MAX_Q
+from fptlib.gfpoly import _TABLE_MAX_Q, _pdivmod, _pgcd, _pmul
 
 
 class TestFieldConstruction:
@@ -258,3 +258,92 @@ class TestUPoly:
         for v in vals:
             poly = poly * (UPoly(K, (0, 1)) - UPoly(K, (v,)))
         assert set(poly.roots_in()) == {v.enc for v in vals}
+
+
+# a naive mod-p reference for the prime-field branch of the dense kernel:
+# every pair reduced at once, inverses by Fermat
+def _trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _naive_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trimmed(out)
+
+
+def _naive_divmod(a, b, p):
+    r, q = _trimmed(a), [0] * max(0, len(a) - len(b) + 1)
+    inv = pow(b[-1], p - 2, p)
+    while len(r) >= len(b):
+        s, c = len(r) - len(b), r[-1] * inv % p
+        q[s] = c
+        for i, y in enumerate(b):
+            r[s + i] = (r[s + i] - c * y) % p
+        r = _trimmed(r)
+    return _trimmed(q), r
+
+
+def _naive_gcd(a, b, p):
+    while b:
+        a, b = b, _naive_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _naive_squarefree(a, p):
+    """No square of a monic polynomial of positive degree divides a, by
+    trying every one when there are few; the field is perfect, so this is
+    squarefreeness over the closure.  Otherwise gcd(a, a') = 1 with a' != 0."""
+    half = (len(a) - 1) // 2
+    if sum(p ** k for k in range(1, half + 1)) > 400:
+        da = _trimmed([i * c % p for i, c in enumerate(a)][1:])
+        return len(a) == 1 or (bool(da) and len(_naive_gcd(a, da, p)) == 1)
+    for k in range(1, half + 1):
+        for enc in range(p ** k):
+            g = [enc // p ** i % p for i in range(k)] + [1]
+            if not _naive_divmod(a, _naive_mul(g, g, p), p)[1]:
+                return False
+    return True
+
+
+class TestPrimeFieldKernel:
+    def test_matches_naive_reference(self):
+        from hypothesis import given, settings, strategies as st
+
+        @st.composite
+        def cases(draw):
+            p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+            digits = st.integers(0, p - 1)
+            a = _trimmed(draw(st.lists(digits, max_size=9)))
+            # any nonzero leading coefficient, not only 1
+            b = draw(st.lists(digits, max_size=4)) + [draw(st.integers(1, p - 1))]
+            exact = draw(st.booleans())
+            return p, _naive_mul(a, b, p) if exact else a, b, exact
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(cases())
+        def check(case):
+            p, a, b, exact = case
+            F = FieldSpec(p)
+            assert _pmul(a, b, F) == _naive_mul(a, b, p)
+            q, r = _pdivmod(a, b, F)
+            assert (q, r) == _naive_divmod(a, b, p)
+            if exact:
+                assert r == []
+            assert _pgcd(a, b, F) == _naive_gcd(a, b, p)
+            assert _pgcd(b, a, F) == _naive_gcd(b, a, p)
+            f = UPoly(F, a)
+            assert list(f.derivative().coeffs) == \
+                _trimmed([i * c % p for i, c in enumerate(a)][1:])
+            if a:
+                assert f.is_squarefree() == _naive_squarefree(a, p)
+
+        check()

@@ -18,6 +18,7 @@ from fptlib import (
     lower_bound_reduced,
     parse_form,
     sharp_witness,
+    strata,
     trinomial_witness_search,
     verify_genL1,
 )
@@ -95,16 +96,19 @@ class TestCensus:
         assert rep.records[Q(1, 2)].count_nonreduced >= 1
 
     def test_squarefree_tested_once_per_form(self, monkeypatch):
+        # the squarefree test and the dominant-factor search share one
+        # gcd(h, h') per form, and a census builds one form per class
+        classes = sum(1 for _ in strata._classes(FieldSpec(3), 4))
         calls = []
-        is_squarefree = UPoly.is_squarefree
+        gcd = UPoly.gcd
 
-        def counted(h):
+        def counted(h, other):
             calls.append(h)
-            return is_squarefree(h)
+            return gcd(h, other)
 
-        monkeypatch.setattr(UPoly, "is_squarefree", counted)
-        rep = census(4, 3)
-        assert 0 < len(calls) <= rep.total
+        monkeypatch.setattr(UPoly, "gcd", counted)
+        census(4, 3)
+        assert 0 < len(calls) <= classes
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError) as exc:
