@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="compare computed strata for d in 3..8 with the reference tables")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--primes", required=True, help="comma-separated primes")
-    sp.add_argument("--budget", type=int, default=200_000)
+    sp.add_argument("--budget", type=int, default=7_000_000)
     sp.add_argument("--workers", type=int,
                     help="threshold processes (default: $FPTLIB_WORKERS or 1)")
     common(sp)

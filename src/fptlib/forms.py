@@ -7,7 +7,9 @@ The public constructors and parse_form check every exponent and coefficient.
 Forms the library builds itself, from encodings it knows to be nonzero and
 exponent tuples it knows to have length n and sum d (census classes, scale
 and monic, perfect-power roots, powers and linear substitutions), go through
-the private HomForm._of, which checks nothing.
+the private HomForm._of, which checks nothing; census classes come through
+HomForm._of_coeffs, which also keeps the affine part of their coefficient
+list.
 
 The central computation is the residue of f^N modulo the monomial ideal
 (x_1^{p^e}, ..., x_n^{p^e}).  One engine, the digit ladder, does it in every
@@ -105,6 +107,15 @@ class HomForm:
         f._key = f._affine = f._repeated = None
         return f
 
+    @classmethod
+    def _of_coeffs(cls, field: FieldSpec, cs: list[int]) -> "HomForm":
+        """Trusted from_coeffs: ``cs`` is a list of encodings in [0, q), not
+        all 0.  The affine part (affine_part) is read off ``cs`` as well."""
+        d = len(cs) - 1
+        f = cls._of(field, 2, d, {(d - i, i): c for i, c in enumerate(cs) if c})
+        f._affine = _affine_of(field, cs)
+        return f
+
     # -- constructors -------------------------------------------------------
     @classmethod
     def from_coeffs(cls, field: FieldSpec, coeffs, d: int | None = None) -> "HomForm":
@@ -197,7 +208,10 @@ class HomForm:
 # ---------------------------------------------------------------------------
 
 def _pack(exps, s: int) -> int:
-    return sum(a << s * i for i, a in enumerate(exps))
+    w = 0
+    for a in reversed(exps):
+        w = w << s | a
+    return w
 
 
 def _unpack(w: int, n: int, s: int) -> tuple:
@@ -395,10 +409,15 @@ def affine_part(f: HomForm) -> tuple[int, UPoly]:
     """(v, h) with f(x, 1) = x^v h(x) and h(0) != 0, for a binary form; kept
     on the form."""
     if f._affine is None:
-        cs = f.coeff_list()[::-1]
-        v = next(a for a, c in enumerate(cs) if c)
-        f._affine = v, UPoly._of(f.field, cs[v:])
+        f._affine = _affine_of(f.field, f.coeff_list())
     return f._affine
+
+
+def _affine_of(field: FieldSpec, cs: list[int]) -> tuple[int, UPoly]:
+    """affine_part of the binary form with coefficient list ``cs``."""
+    low = cs[::-1]
+    v = next(a for a, c in enumerate(low) if c)
+    return v, UPoly._of(field, low[v:])
 
 
 def repeated_part(f: HomForm) -> UPoly:

@@ -225,11 +225,54 @@ def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
     N_L for L = 1..ord_b(p) (smallest passing depth wins, no pass means 2/d);
     the rest fall back to a certified interval at depth ``e_cap``, by default
     8 for binary forms and 4 otherwise; an ``e_cap`` below 1 is refused.
+
+    The rules live in _rules, which returns an exact result or names the
+    fallback: g's result scaled by r for f = c g^r, or f's interval.  This
+    function adds that fallback; a census reads only exact answers
+    (_exact_value) and never computes an interval.
+
+    A binary f goes to the perfect-power search only when 2 deg gcd(h, h')
+    >= deg h, for h the affine part of f (_may_be_power, on the gcd that
+    forms.repeated_part keeps on f).  If f = c g^r with r >= 2, then h = c
+    g_1^r for g_1 the affine part of g: if p divides r, h' = 0 and the gcd
+    is monic h; otherwise g_1^(r-1) divides h and h', so deg gcd >= (r-1)
+    deg g_1 >= deg h / 2.
     """
     if e_cap is None:
         e_cap = 8 if f.n == 2 else 4
     if e_cap < 1:
         raise ValidationError(f"need e_cap >= 1, got {e_cap}")
+    res = _rules(f)
+    if isinstance(res, FptResult):
+        return res
+    g, r = res
+    if r > 1:
+        return fpt_general(g, e_cap).scaled(r)
+    return _interval_result(f, e_cap)
+
+
+def _exact_value(f: HomForm) -> Fraction | None:
+    """fpt_general(f).value when that is exact, else None, with no interval
+    computed: exact answers do not depend on e_cap."""
+    r = 1
+    while not isinstance(res := _rules(f), FptResult):
+        f, s = res
+        if s == 1:
+            return None
+        r *= s
+    return res.value / r
+
+
+def _may_be_power(f: HomForm) -> bool:
+    """False only for a form that is no proper power c g^r: a binary form
+    with 2 deg gcd(h, h') < deg h (see fpt_general)."""
+    return f.n != 2 or 2 * repeated_part(f).degree >= affine_part(f)[1].degree
+
+
+def _rules(f: HomForm) -> FptResult | tuple[HomForm, int]:
+    """fpt_general's rules: an exact result, or the fallback that applies as
+    (g, r), fpt(f) = fpt(g)/r for f = c g^r with r >= 2, or (f, 1) for f's
+    interval."""
     if f.is_monomial():
         exps = next(iter(f.terms))
         return FptResult("exact", "monomial", value=fpt_monomial(exps))
@@ -241,17 +284,18 @@ def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
         a = _dominant_factor(f)
         if a:
             return _dominant_result(f, a)
-        g, r = perfect_power_decompose(f.monic())
-        if r > 1:
-            return fpt_general(g, e_cap).scaled(r)
-        return _interval_result(f, e_cap)
+        if _may_be_power(f):
+            g, r = perfect_power_decompose(f.monic())
+            if r > 1:
+                return g, r
+        return f, 1
     p, d = f.field.p, f.d
     if _is_prime_power_degree(d, p):
         return FptResult("exact", "prime-power-degree", value=Fraction(2, d))
     lam = Fraction(2, d)
     b = lam.denominator
     if b % p == 0:
-        return _interval_result(f, e_cap)
+        return f, 1
     # one ladder state walks the truncations: N_L = p N_{L-1} + c_L, and the
     # residue at depth L continues from the one at depth L-1.  The digits c_L
     # come by long division; gcd(b, p) = 1 and b > 1, so no remainder is 0

@@ -2,7 +2,8 @@
 
 Fields are constructed with a deterministic modulus (the lexicographically
 smallest monic irreducible of degree k, by descending-degree coefficient
-tuple), so witness reports are reproducible across runs and machines.
+tuple), so witness reports are reproducible across runs and machines; it is
+searched for once per (p, k) in a process.
 Elements are stored as integer encodings sum(c_i * p^i).  Fields with at
 most _TABLE_MAX_Q elements multiply through a q x q table, built on first
 use and shared by every FieldSpec of the same (p, k, modulus): q - 1 reduced
@@ -28,17 +29,19 @@ _TABLE_MAX_Q = 512          # build a multiplication table up to this field size
 _ROOT_BRUTE_MAX_Q = 121     # exhaustive root search up to here; the gcd with u^q - u wins from 125
 _EMBED_MAX_Q = 1_000_000    # largest field searched exhaustively for an embedding
 _MUL_TABLES: dict = {}      # (p, k, modulus) -> multiplication table
+_MODULI: dict = {}          # (p, k) -> the default modulus, found irreducible once
 
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over any FieldSpec F, on lists (or tuples) of
 # encodings in ascending degree.  UPoly wraps these routines; the modulus
 # search and _mul_raw call them over the prime field.  Over F_p (F.k == 1)
-# the product, the division and the gcd's monic step work on plain ints:
-# the product sums raw pair products and reduces once per output term, and
-# the division reduces each coefficient mod p once, when it is read or
-# returned.  Over F_{p^k}, k > 1, each pair goes through F.muli and F.addi,
-# looked up on F at each call, never bound at import.
+# the product, the division and the gcd work on plain ints: the product sums
+# raw pair products and reduces once per output term, the division (_prem)
+# reduces each coefficient mod p once, when it is read or returned, and the
+# gcd takes remainders without quotients.  Over F_{p^k}, k > 1, each pair
+# goes through F.muli and F.addi, looked up on F at each call, never bound
+# at import.
 # ---------------------------------------------------------------------------
 
 def _trim(a: list[int]) -> list[int]:
@@ -72,22 +75,13 @@ def _pdivmod(a, b, F: "FieldSpec") -> tuple[list[int], list[int]]:
     """Quotient and trimmed remainder of a by b (b trimmed and nonzero)."""
     if not b:
         raise ValidationError("division by zero polynomial")
+    q = [0] * max(0, len(a) - len(b) + 1)
+    if F.k == 1:
+        return q, _prem(a, b, F.p, q)
     rem = list(a)
     db = len(b) - 1
     inv = F.invi(b[-1])
     low = [(t, bt) for t, bt in enumerate(b[:db]) if bt]    # field moduli are sparse
-    q = [0] * max(0, len(rem) - db)
-    if F.k == 1:
-        p = F.p
-        while len(rem) > db:
-            c = rem.pop() % p
-            if c:
-                off = len(rem) - db
-                q[off] = c = c * inv % p
-                c = p - c
-                for t, bt in low:
-                    rem[off + t] += c * bt
-        return q, _trim([c % p for c in rem])
     mul, add = F.muli, F.addi
     while len(rem) > db:
         c = rem.pop()
@@ -100,16 +94,42 @@ def _pdivmod(a, b, F: "FieldSpec") -> tuple[list[int], list[int]]:
     return q, _trim(rem)
 
 
+def _prem(a, b, p: int, quo: list | None = None) -> list[int]:
+    """The trimmed remainder of a by b over F_p (b trimmed and nonzero).
+    The quotient's coefficients go into ``quo`` when it is given; the gcd
+    builds none."""
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = [(t, bt) for t, bt in enumerate(b[:db]) if bt]    # field moduli are sparse
+    while len(rem) > db:
+        c = rem.pop() % p
+        if c:
+            off = len(rem) - db
+            c = c * inv % p
+            if quo is not None:
+                quo[off] = c
+            c = p - c
+            for t, bt in low:
+                rem[off + t] += c * bt
+    return _trim([c % p for c in rem])
+
+
 def _pgcd(a, b, F: "FieldSpec") -> list[int]:
     """Monic gcd of a and b (b trimmed); gcd(a, 0) is a made monic."""
+    if F.k == 1:
+        p = F.p
+        while b:
+            a, b = b, _prem(a, b, p)
+        if not a:
+            return []
+        inv = pow(a[-1], -1, p)
+        return [c * inv % p for c in a]
     while b:
         a, b = b, _pdivmod(a, b, F)[1]
     if not a:
         return []
     inv = F.invi(a[-1])
-    if F.k == 1:
-        p = F.p
-        return [c * inv % p for c in a]
     return [F.muli(c, inv) for c in a]
 
 
@@ -192,12 +212,15 @@ class FieldSpec:
         self.q = p ** k
         self._prime = self if k == 1 else FieldSpec(p)     # F_p, for arithmetic mod `modulus`
         if modulus is None:
-            modulus = _smallest_modulus(self._prime, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValidationError("modulus must be monic of degree k")
-        if k > 1 and not _is_irreducible(list(modulus), self._prime):
-            raise ValidationError(f"modulus {modulus} is reducible over F_{p}")
+            modulus = _MODULI.get((p, k))
+            if modulus is None:
+                modulus = _MODULI[(p, k)] = _smallest_modulus(self._prime, k)
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValidationError("modulus must be monic of degree k")
+            if k > 1 and not _is_irreducible(list(modulus), self._prime):
+                raise ValidationError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._mul_table: list[list[int]] | None = None
         self._embed_cache: dict = {}

@@ -33,7 +33,8 @@ from math import comb, gcd
 from .errors import AnomalyError, BudgetError, ValidationError
 from .forms import HomForm, in_frobenius_power, is_squarefree_binary
 from .forms import pow_mod_frobenius  # noqa: F401  kept bound: fptbench/tracer.py wraps it here
-from .fptengine import fpt_binary_exact
+from .fptengine import _exact_value
+from .fptengine import fpt_binary_exact  # noqa: F401  kept bound: fptbench/tracer.py wraps it here
 from .genericfpt import generic_fpt_binary
 from .gfpoly import FieldSpec, GFElem, UPoly
 from .ratbase import (bms_excluded, is_prime, lucas_binom, min_e_two_p_pow, mult_order,
@@ -244,11 +245,17 @@ def _orbit_maps(K: FieldSpec, d: int) -> list:
     acting on degree-d binary forms, each an array('I') of 4-byte entries.
 
     The generators act on coefficient lists [a_0, ..., a_d] (a_i the
-    coefficient of x^(d-i) y^i): x -> x+y, x <-> y, y -> b*y for b
-    primitive (left out over F_2), and coefficientwise Frobenius for k > 1.
-    The first two give the unipotent matrices over F_p; conjugating x -> x+y
-    by y -> b*y gives x -> x + b^j y, whose sums reach every c in F_q =
-    F_p[b], so with the diagonal matrices they generate GL_2(F_q).
+    coefficient of x^(d-i) y^i).  Over F_p there are two: x -> x+y, and
+    x -> b*y, y -> x, the swap composed with y -> b*y, for b = 1 when
+    p = 2 or p = 3 (mod 4) and b primitive when p = 1 (mod 4).  The second
+    conjugates x -> x+y into a lower unipotent matrix, and the two unipotents
+    generate SL_2(F_p), which is GL_2(F_2).  For odd p the second's
+    determinant -b is not a square in F_p^*, so with SL_2(F_p) and the
+    scalars, which fix every class, it gives all of GL_2(F_p).  Over
+    F_{p^k}, k > 1, there are four: x -> x+y, x <-> y,
+    y -> b*y for b primitive, and coefficientwise Frobenius; conjugating
+    x -> x+y by y -> b*y gives x -> x + b^j y, whose sums reach every c in
+    F_q = F_p[b], so with the diagonal matrices they generate GL_2(F_q).
 
     Block t of the indices holds the classes whose first nonzero coefficient
     is a 1 in slot t; index offset_t + h has the base-q digits of h as
@@ -261,10 +268,11 @@ def _orbit_maps(K: FieldSpec, d: int) -> list:
       digitwise by C(d-t-1, j+1) + a C(d-t-1, j) in slot t+1+j.
     - y -> b*y multiplies slot i by b^(i-t), and Frobenius maps every digit:
       block t's image is block t+1's image with one more digit below.
-    - x <-> y reverses the digits and divides them by the last nonzero one,
-      v in slot u.  The indices with that (u, v) form one strided slice of
-      block t, filled from one table of the digits strictly between slots t
-      and u, reversed and divided by v, shared by every t with that u - t.
+    - x -> b*y, y -> x reverses the digits, multiplies slot s by b^(u-s)
+      and divides them by the last nonzero one, v in slot u.  The indices
+      with that (u, v) form one strided slice of block t, filled from one
+      table of the digits strictly between slots t and u, so transformed,
+      shared by every t with that u - t.  With b = 1 this is x <-> y.
     """
     from array import array     # not at the top: loading it adds 0.1 MB to every process
     q, p = K.q, K.p
@@ -273,10 +281,12 @@ def _orbit_maps(K: FieldSpec, d: int) -> list:
 
     def translation(u: int, size: int, base: int) -> list[int]:
         # x -> base + (x + u digitwise) on [0, size).  Sums in F_{p^k} are
-        # digitwise mod p on encodings, so x and u are read in base p
+        # digitwise mod p on encodings, so x and u are read in base p.  A list
+        # is faster to read, but past _CHUNK entries the table is an array:
+        # at (8,7) a list of its q^(d-1) ints took 30 MB
         tab, w = [base], 1
         while w < size:
-            c, wider = u // w % p, []
+            c, wider = u // w % p, [] if w < _CHUNK else array("I")
             for a in range(p):
                 x = (a + c) % p * w
                 wider.extend([x + y for y in tab])
@@ -300,24 +310,25 @@ def _orbit_maps(K: FieldSpec, d: int) -> list:
                     out[at:at + len(prev)] = array("I", [tau[y - o] for y in prev])
         return out
 
-    def swap() -> array:
+    def swap(b: int) -> array:
         out = array("I", [0]) * n
         for t in range(d + 1):
             out[offset[t]] = offset[d - t]    # x^(d-t) y^t <-> x^t y^(d-t)
         for v in range(1, q):
             w = K.invi(v)
-            row = [K.muli(w, a) for a in range(q)]
-            rev = array("I", [0])            # j digits, reversed and times w
+            rev = array("I", [0])            # j digits, reversed, slot s times w b^(u-s)
             for j in range(d):
+                wb = K.muli(w, K.powi(b, j))   # for slot u - j, prepended to the table
                 if j:
                     shifted, rev = [y * q for y in rev], array("I")
-                    for c in row:
+                    for a in range(q):
+                        c = K.muli(wb, a)
                         rev.extend([c + y for y in shifted])
                 for t in range(d - j):
                     u = t + j + 1              # the slot of the last nonzero coefficient, v
                     step, scale = q ** (d - u + 1), q ** (t + 1)
                     start = offset[t] + v * q ** (d - u)
-                    base = offset[d - u] + w * q ** t
+                    base = offset[d - u] + K.muli(wb, b) * q ** t
                     for i in range(0, len(rev), _CHUNK):
                         part = rev[i:i + _CHUNK]
                         at = start + i * step
@@ -340,14 +351,12 @@ def _orbit_maps(K: FieldSpec, d: int) -> list:
                 out[at:at + len(prev) * q] = array("I", [y + c for y in prev for c in cs])
         return out
 
-    maps = [shift(), swap()]
-    if q > 2:
-        b = _primitive_element(K)
-        maps.append(digitwise([[K.muli(K.powi(b, m), a) for a in range(q)]
-                               for m in range(d + 1)]))
-    if K.k > 1:
-        maps.append(digitwise([[K.frobi(a) for a in range(q)]] * (d + 1)))
-    return maps
+    if K.k == 1:
+        return [shift(), swap(1 if p % 4 != 1 else _primitive_element(K))]
+    b = _primitive_element(K)
+    return [shift(), swap(1),
+            digitwise([[K.muli(K.powi(b, m), a) for a in range(q)] for m in range(d + 1)]),
+            digitwise([[K.frobi(a) for a in range(q)]] * (d + 1))]
 
 
 def _mark(maps, g: int, seen: bytearray) -> int:
@@ -379,19 +388,17 @@ def _classes(K: FieldSpec, d: int):
     seen = bytearray(len(maps[0]))
     g = 0
     while (g := seen.find(0, g)) >= 0:
-        # nonzero encodings in slot order: from_coeffs' terms, unchecked
-        f = HomForm._of(K, 2, d, {(d - i, i): c
-                                  for i, c in enumerate(_coeffs_of_index(g, d, K.q)) if c})
+        f = HomForm._of_coeffs(K, _coeffs_of_index(g, d, K.q))
         yield g, f, _mark(maps, g, seen), is_squarefree_binary(f)
 
 
-def _threshold(cls, e_cap: int, reduced_only: bool):
-    """The class with its exact threshold, or None for an interval or for a
-    non-reduced class of a reduced-only census."""
+def _threshold(cls, reduced_only: bool):
+    """The class with its exact threshold, or None where fpt_binary_exact
+    gives an interval (not computed here) or for a non-reduced class of a
+    reduced-only census."""
     if reduced_only and not cls[3]:
         return cls, None
-    res = fpt_binary_exact(cls[1], e_cap=e_cap)
-    return cls, res.value if res.is_exact else None
+    return cls, _exact_value(cls[1])
 
 
 def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 2,
@@ -405,14 +412,17 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
     it.  One pass walks the orbits in index order; with ``workers`` > 1 a
     fork pool computes the thresholds, in order, while the walk stays here.
     Reduced values are checked against the admissible candidate set on the
-    fly; a violation raises AnomalyError.  Interval-only results are counted
-    as unresolved; with ``reduced_only`` non-reduced orbits get no threshold
-    and are counted as skipped.
+    fly; a violation raises AnomalyError.  A class is counted as unresolved
+    when fpt_binary_exact gives it only an interval, which the census never
+    computes: it asks for the exact answer alone, which does not depend on
+    ``e_cap``, so ``e_cap`` is only checked and recorded.  With
+    ``reduced_only`` non-reduced orbits get no threshold and are counted as
+    skipped.
 
     The walk holds 4 bytes per class for each generator's index map and 1
-    for the visited map: 9 bytes per class over F_2, 13 over other prime
-    fields and 17 over F_{p^k}, k > 1, plus a table of q^(d-1) ints while
-    the maps are built.
+    for the visited map: 9 bytes per class over every prime field and 17
+    over F_{p^k}, k > 1, plus a table of q^(d-1) ints while the maps are
+    built.
     """
     if d < 2:
         raise ValidationError("census needs d >= 2")
@@ -428,7 +438,7 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
         raise BudgetError(f"enumeration needs {total} forms but budget is {budget}; "
                           f"rerun with budget >= {total}", required=total, budget=budget)
     admissible = frozenset(candidates(d, p).admissible_values()) | {Fraction(2, d)}
-    threshold = partial(_threshold, e_cap=e_cap, reduced_only=reduced_only)
+    threshold = partial(_threshold, reduced_only=reduced_only)
     records: dict[Fraction, ValueRecord] = {}
     unresolved = skipped = 0
     if workers > 1:

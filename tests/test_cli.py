@@ -262,6 +262,15 @@ class TestVerifyPaper:
         code, _, err = run(capsys, "verify-paper", "--d", "9", "--primes", "2")
         assert code == 2
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d,p", [(8, 5), (5, 13)])
+    def test_default_budget_covers_rows(self, capsys, d, p):
+        # 488,281 and 402,234 forms: over the old default of 200,000, within
+        # the default of 7,000,000, so the census runs and must match the table
+        code, out, _ = run(capsys, "verify-paper", "--d", str(d), "--primes", str(p))
+        assert code == 0
+        assert f"p={p}: PASS" in out and "observed over F_p" in out
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_output(self, capsys):

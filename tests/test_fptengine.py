@@ -333,6 +333,48 @@ class TestDominantFactor:
                 assert lo < res.value <= hi, (h, res.describe())
 
 
+class TestPowerPrefilter:
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+    def test_every_power_passes(self, p, k):
+        # c g^r for r in {2, 3, p, 2p} has 2 deg gcd(h, h') >= deg h: if p | r
+        # then h' = 0, otherwise g_1^(r-1) divides h and h'
+        from hypothesis import given, settings, strategies as st
+
+        from fptlib.forms import _form_pow
+        from fptlib.fptengine import _may_be_power
+
+        K = FieldSpec(p, k)
+        elem = st.integers(0, K.q - 1)
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(st.lists(elem, min_size=2, max_size=4).filter(lambda cs: any(cs[1:])),
+               st.sampled_from([2, 3, p, 2 * p]), st.integers(1, K.q - 1))
+        def check(coeffs, r, c):
+            f = _form_pow(HomForm.from_coeffs(K, coeffs), r).scale(c)
+            assert _may_be_power(f), (f, r)
+
+        check()
+
+    def test_non_powers_skip_the_search(self, monkeypatch):
+        # x^2 y^2 (x+y) has h = x+1 and gcd(h, h') = 1: no perfect-power
+        # search, and the interval is the one the search would have led to
+        from fptlib import fptengine
+        from fptlib.fptengine import _may_be_power
+
+        calls = []
+        search = fptengine.perfect_power_decompose
+        monkeypatch.setattr(fptengine, "perfect_power_decompose",
+                            lambda f: calls.append(f) or search(f))
+        f = parse_form("x^2*y^2*(x+y)", FieldSpec(7))
+        assert not _may_be_power(f)
+        res = fpt_general(f, e_cap=2)
+        assert not res.is_exact and (res.low, res.high) == (Q(19, 49), Q(20, 49))
+        assert calls == []
+        # a square that is no dominant factor's power still reaches it
+        res = fpt_general(parse_form("(x^2+y^2)^2", FieldSpec(3)))
+        assert res.value == Q(1, 2) and len(calls) == 1
+
+
 class TestGeneral:
     def test_monomial_any_arity(self):
         K = FieldSpec(5)

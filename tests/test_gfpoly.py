@@ -25,6 +25,25 @@ class TestFieldConstruction:
         assert FieldSpec(3, 2) == FieldSpec(3, 2)
         assert FieldSpec(3, 2) != FieldSpec(3, 1)
 
+    def test_default_modulus_searched_once(self, monkeypatch):
+        # the search runs once per (p, k) in a process, and its result is
+        # the modulus of every later FieldSpec(p, k) and of no other
+        from fptlib import gfpoly
+
+        monkeypatch.setattr(gfpoly, "_MODULI", {})
+        calls = []
+        search = gfpoly._smallest_modulus
+        monkeypatch.setattr(gfpoly, "_smallest_modulus",
+                            lambda Fp, k: calls.append((Fp.p, k)) or search(Fp, k))
+        for p, k in [(3, 2), (3, 3), (2, 3), (3, 2), (3, 3), (2, 3), (2, 3)]:
+            K = FieldSpec(p, k)
+            assert K.modulus == search(FieldSpec(p), k)
+        assert [c for c in calls if c[1] > 1] == [(3, 2), (3, 3), (2, 3)]
+        assert sorted(c for c in calls if c[1] == 1) == [(2, 1), (3, 1)]
+        # an explicit modulus is still checked
+        with pytest.raises(ValidationError):
+            FieldSpec(3, 2, modulus=(2, 0, 1))   # t^2 + 2 = (t+1)(t+2)
+
 
 class TestFieldArithmetic:
     def test_f9_generator(self):

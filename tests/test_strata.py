@@ -341,12 +341,14 @@ class TestOrbitCensus:
             conj = HomForm(K, 2, d, {e: K.frobi(c) for e, c in f.terms.items()})
             assert seen[_census_index(conj.coeff_list(), K)]
 
-    @pytest.mark.parametrize("d,p,k", [(6, 2, 1), (4, 3, 1), (3, 5, 1), (4, 2, 2), (3, 3, 2),
-                                       (3, 2, 3), (2, 2, 4)])
+    @pytest.mark.parametrize("d,p,k", [(6, 2, 1), (4, 3, 1), (3, 5, 1), (3, 7, 1), (2, 13, 1),
+                                       (4, 2, 2), (3, 3, 2), (3, 2, 3), (2, 2, 4)])
     def test_index_maps_match_substitution(self, d, p, k):
         # each generator's map permutes [0, n) and sends every class to the
-        # class of its image under x -> x+y, x <-> y, y -> b*y (b primitive,
-        # q > 2) and Frobenius (k > 1), taken form by form
+        # class of its image, taken form by form: over F_p under x -> x+y and
+        # x -> b*y, y -> x (b = 1 unless p = 1 mod 4, then b primitive); over
+        # F_{p^k}, k > 1, under x -> x+y, x <-> y, y -> b*y (b primitive) and
+        # Frobenius
         from fptlib import HomForm, substitute_linear
         from fptlib.strata import _coeffs_of_index, _orbit_maps, _primitive_element
 
@@ -354,11 +356,12 @@ class TestOrbitCensus:
         q = K.q
         total = (q ** (d + 1) - 1) // (q - 1)
         maps = _orbit_maps(K, d)
-        moves = [lambda f, M=M: substitute_linear(f, M).coeff_list()
-                 for M in ([[1, 1], [0, 1]], [[0, 1], [1, 0]])]
-        if q > 2:
-            b = _primitive_element(K)
-            moves.append(lambda f: substitute_linear(f, [[1, 0], [0, b]]).coeff_list())
+        b = _primitive_element(K) if q > 2 else 1
+        if k == 1:
+            matrices = [[[1, 1], [0, 1]], [[0, b if p % 4 == 1 else 1], [1, 0]]]
+        else:
+            matrices = [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, b]]]
+        moves = [lambda f, M=M: substitute_linear(f, M).coeff_list() for M in matrices]
         if k > 1:
             moves.append(lambda f: [K.frobi(c) for c in f.coeff_list()])
         assert len(maps) == len(moves)
@@ -371,6 +374,43 @@ class TestOrbitCensus:
                 lead = K.invi(next(a for a in c if a))
                 assert _coeffs_of_index(m[g], d, q) == [K.muli(lead, a) for a in c], (g, c)
 
+    @pytest.mark.parametrize("d,p,k", [(4, 3, 1), (6, 3, 1), (5, 5, 1), (5, 7, 1), (9, 2, 1),
+                                       (6, 5, 1), (4, 2, 2), (3, 3, 2)])
+    def test_values_are_the_exact_answers(self, d, p, k):
+        # a census asks only for exact answers: every class of the full
+        # census gets fpt_binary_exact's value when that is exact, else None,
+        # and the classes with an interval make up the unresolved count
+        from fptlib import HomForm
+        from fptlib.strata import _classes, _threshold
+
+        K = FieldSpec(p, k)
+        unresolved = 0
+        for cls in _classes(K, d):
+            res = fpt_binary_exact(HomForm.from_coeffs(K, cls[1].coeff_list()), e_cap=2)
+            assert _threshold(cls, False)[1] == (res.value if res.is_exact else None)
+            unresolved += 0 if res.is_exact else cls[2]
+        assert census(d, p, k).unresolved == unresolved
+
+    @pytest.mark.parametrize("d,p", [(4, 3), (5, 3), (3, 7), (4, 7), (4, 5), (3, 13), (2, 17)])
+    def test_two_generators_walk_the_three_generator_orbits(self, d, p):
+        # over F_p the walk uses x -> x+y and x -> b*y, y -> x; the orbits,
+        # their order and their weights are those of x -> x+y, x <-> y and
+        # y -> c*y for c primitive, maps built here form by form
+        from fptlib import HomForm, substitute_linear
+        from fptlib.strata import _classes, _coeffs_of_index, _mark, _primitive_element
+
+        K = FieldSpec(p)
+        total = (p ** (d + 1) - 1) // (p - 1)
+        c = _primitive_element(K)
+        forms = [HomForm.from_coeffs(K, _coeffs_of_index(g, d, p)) for g in range(total)]
+        three = [[_census_index(substitute_linear(f, M).coeff_list(), K) for f in forms]
+                 for M in ([[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, c]])]
+        seen, want = bytearray(total), []
+        for g in range(total):
+            if not seen[g]:
+                want.append((g, _mark(three, g, seen)))
+        assert [(g, w) for g, _, w, _ in _classes(K, d)] == want
+        assert sum(w for _, w in want) == total
 
 class TestWitnessSearch:
     def test_sextic_over_f5(self):
