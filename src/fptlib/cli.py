@@ -9,9 +9,7 @@ All numeric output is exact rational text.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -32,9 +30,13 @@ EXIT_ANOMALY = 5
 
 
 def _emit(args, payload: dict, text: str, csv_rows: list[list[str]] | None = None) -> None:
+    # json and csv are imported only by the branch that prints them, so a
+    # text run loads neither
     if args.format == "json":
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv" and csv_rows is not None:
+        import csv
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
         sys.stdout.write(buf.getvalue())

@@ -23,7 +23,7 @@ since m^[p^e] is generated by the p^e-th powers of any basis of m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import AnomalyError, ValidationError
@@ -33,34 +33,30 @@ from .gfpoly import UPoly
 from .ratbase import mult_order
 
 
-@dataclass(frozen=True)
-class MembershipCheck:
-    """One recorded test: is f^N in the e-th Frobenius power?"""
+class MembershipCheck(namedtuple("MembershipCheck", "N e member")):
+    """One recorded test: is f^N in the e-th Frobenius power?
 
-    N: int
-    e: int
-    member: bool
+    Fields: ``N`` and ``e`` (int), ``member`` (bool).
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"N": self.N, "e": self.e, "member": self.member}
 
 
-@dataclass(frozen=True)
-class FptResult:
+class FptResult(namedtuple("FptResult", "status method value low high L certificates",
+                           defaults=(None, None, None, None, ()))):
     """Exact value or certified half-open interval, with the test trail.
 
-    ``method`` is one of: monomial, dominant-factor, power-rule,
-    prime-power-degree, truncation-candidate, generic-two-over-d,
-    bounded-fallback.
+    Fields: ``status``, "exact" or "interval"; ``method``, one of monomial,
+    dominant-factor, power-rule, prime-power-degree, truncation-candidate,
+    generic-two-over-d, bounded-fallback; ``value`` (Fraction or None);
+    ``low`` and ``high`` (Fraction or None), the interval (low, high];
+    ``L`` (int or None); ``certificates``, a tuple of MembershipCheck.
     """
 
-    status: str                       # "exact" | "interval"
-    method: str
-    value: Fraction | None = None
-    low: Fraction | None = None       # interval (low, high]
-    high: Fraction | None = None
-    L: int | None = None
-    certificates: tuple[MembershipCheck, ...] = ()
+    __slots__ = ()
 
     @property
     def is_exact(self) -> bool:

@@ -12,7 +12,7 @@ fail from some explicit place on, so a revisited residue certifies absence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -22,27 +22,23 @@ from .gfpoly import FieldSpec
 from .ratbase import min_e_two_p_pow, require_prime, trunc
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    L: int
-    N_L: int
-    remainder: int
-    cond_a: bool
-    cond_b: bool
+class TraceRow(namedtuple("TraceRow", "L N_L remainder cond_a cond_b")):
+    """One place of the generic search: ``L``, ``N_L`` and ``remainder``
+    (int), ``cond_a`` and ``cond_b`` (bool)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"L": self.L, "N_L": self.N_L, "remainder": self.remainder,
                 "cond_a": self.cond_a, "cond_b": self.cond_b}
 
 
-@dataclass(frozen=True)
-class GenericFptReport:
-    n: int
-    d: int
-    p: int
-    value: Fraction
-    L: int | None                 # truncation place; None when value is n/d or 1
-    trace: tuple[TraceRow, ...]
+class GenericFptReport(namedtuple("GenericFptReport", "n d p value L trace")):
+    """The generic threshold: ``n``, ``d`` and ``p`` (int), ``value``
+    (Fraction), ``L`` (int, the truncation place, or None when the value is
+    n/d or 1) and ``trace``, a tuple of TraceRow."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

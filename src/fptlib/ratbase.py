@@ -9,7 +9,7 @@ certain candidate threshold values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -40,18 +40,15 @@ def require_prime(p: int) -> None:
         raise ValidationError(f"p must be prime, got {p!r}")
 
 
-@dataclass(frozen=True)
-class TruncationValue:
+class TruncationValue(namedtuple("TruncationValue", "p e numer")):
     """A truncation N/p^e of a base-p expansion, kept unreduced.
 
-    ``numer`` is the integer N; ``value`` reduces it to a Fraction.  For the
-    non-terminating convention the defining property is
-    0 < lam - N/p^e <= 1/p^e.
+    Fields are ints: ``p``, ``e`` and ``numer``, the integer N; ``value``
+    reduces it to a Fraction.  For the non-terminating convention the
+    defining property is 0 < lam - N/p^e <= 1/p^e.
     """
 
-    p: int
-    e: int
-    numer: int
+    __slots__ = ()
 
     @property
     def value(self) -> Fraction:

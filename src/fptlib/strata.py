@@ -24,11 +24,12 @@ set in the visited map, with no coefficient list and no re-indexing.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd
+from types import SimpleNamespace
 
 from .errors import AnomalyError, BudgetError, ValidationError
 from .forms import HomForm, in_frobenius_power, is_squarefree_binary
@@ -68,15 +69,14 @@ def hnwz_flags(d: int, p: int, L: int) -> tuple[bool, bool, bool]:
     return cond1, cond2, cond3
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
-    L: int
-    value: Fraction
-    cond_I: bool
-    cond_II: bool
-    cond_III: bool
-    bms_excluded: bool
-    above_generic: bool = False   # exceeds the closed-form maximum
+class CandidateEntry(namedtuple("CandidateEntry",
+                                "L value cond_I cond_II cond_III bms_excluded above_generic",
+                                defaults=(False,))):
+    """One candidate place: ``L`` (int), ``value`` (Fraction), the flags
+    ``cond_I``, ``cond_II``, ``cond_III`` and ``bms_excluded`` (bool), and
+    ``above_generic`` (bool), whether it exceeds the closed-form maximum."""
+
+    __slots__ = ()
 
     @property
     def admissible(self) -> bool:
@@ -92,13 +92,12 @@ class CandidateEntry:
                 "admissible": self.admissible}
 
 
-@dataclass(frozen=True)
-class CandidateReport:
-    d: int
-    p: int
-    entries: tuple[CandidateEntry, ...]
-    generic_value: Fraction
-    generic_L: int | None         # None when the generic value is 2/d itself
+class CandidateReport(namedtuple("CandidateReport", "d p entries generic_value generic_L")):
+    """The candidate table: ``d`` and ``p`` (int), ``entries``, a tuple of
+    CandidateEntry, ``generic_value`` (Fraction) and ``generic_L`` (int, or
+    None when the generic value is 2/d itself)."""
+
+    __slots__ = ()
 
     def admissible_values(self) -> list[Fraction]:
         vals = {e.value for e in self.entries if e.admissible}
@@ -152,13 +151,17 @@ def candidates(d: int, p: int, l_cap: int = 12) -> CandidateReport:
 # census of a coefficient space
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValueRecord:
-    count_reduced: int = 0
-    count_nonreduced: int = 0
-    witness_index: int | None = None
-    witness_coeffs: tuple[int, ...] | None = None
-    witness_text: str | None = None
+class ValueRecord(SimpleNamespace):
+    """Mutable counts of one census value: ``count_reduced`` and
+    ``count_nonreduced`` (int), and its first witness's ``witness_index``
+    (int), ``witness_coeffs`` (tuple of int) and ``witness_text`` (str),
+    each None until set."""
+
+    def __init__(self, count_reduced=0, count_nonreduced=0, witness_index=None,
+                 witness_coeffs=None, witness_text=None):
+        super().__init__(count_reduced=count_reduced, count_nonreduced=count_nonreduced,
+                         witness_index=witness_index, witness_coeffs=witness_coeffs,
+                         witness_text=witness_text)
 
     def to_dict(self) -> dict:
         return {"count_reduced": self.count_reduced,
@@ -166,17 +169,14 @@ class ValueRecord:
                 "witness": self.witness_text}
 
 
-@dataclass
-class CensusReport:
-    d: int
-    p: int
-    k: int
-    reduced_only: bool
-    e_cap: int
-    total: int
-    records: dict                 # Fraction -> ValueRecord
-    unresolved: int = 0
-    skipped_nonreduced: int = 0
+class CensusReport(namedtuple("CensusReport", "d p k reduced_only e_cap total records "
+                                            "unresolved skipped_nonreduced", defaults=(0, 0))):
+    """A census: ``d``, ``p``, ``k``, ``e_cap`` and ``total`` (int),
+    ``reduced_only`` (bool), ``records``, a dict from Fraction to
+    ValueRecord, and the counts ``unresolved`` and ``skipped_nonreduced``
+    (int)."""
+
+    __slots__ = ()
 
     def reduced_values(self) -> set[Fraction]:
         return {v for v, rec in self.records.items() if rec.count_reduced}
@@ -477,13 +477,12 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
 # trinomial witness search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessResult:
-    a_value: GFElem
-    field: FieldSpec
-    form: HomForm
-    target: Fraction
-    obstruction: str              # the gcd of the obstruction polynomials, printed
+class WitnessResult(namedtuple("WitnessResult", "a_value field form target obstruction")):
+    """A trinomial witness: ``a_value`` (GFElem), ``field`` (FieldSpec),
+    ``form`` (HomForm), ``target`` (Fraction) and ``obstruction`` (str), the
+    gcd of the obstruction polynomials, printed."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
