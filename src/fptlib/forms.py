@@ -37,6 +37,12 @@ Either way a sum that vanishes leaves the dict at once, and more than
 _WINDOW_BUDGET terms after a row is refused.  The text parser evaluates on
 the same packing with the same product.
 
+Each ladder step builds f^c, truncated at its depth, by squaring.  The
+threshold engine's nu asks one form for many N at one depth e, so for the
+length of that call (sharing_powers) the form keeps a private table of its
+truncated powers, and every probe takes f, f^2, f^4, ... and each f^c from
+it; truncation ladders, which visit each depth once, keep none.
+
 Packed exponents compare as integers in a lex order (x_n most significant),
 and a lex order is a monomial order, so the perfect-power check takes m-th
 roots on the same packing, one term at a time from the top down, in any
@@ -48,6 +54,7 @@ on the form for the threshold engine's dominant-factor search.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from math import comb, gcd
 
 from .errors import BudgetError, ParseError, ValidationError
@@ -71,9 +78,19 @@ class HomForm:
     constructor: it takes ``terms`` as it is, so it must be a nonempty dict
     of nonzero encodings in [0, q) keyed by tuples of n non-negative ints
     summing to d, in the insertion order the form should keep.
+
+    ``_powers`` is the form's table of truncated powers, None except inside
+    sharing_powers (nu's probes).  Its key is a ladder's packing width s,
+    window mask and depth offset add, not add alone: for p = 2 a bounded
+    ladder's deepest level has add == 0, like an unbounded ladder of the same
+    width.  Each entry holds the squares f, f^2, f^4, ... truncated there and
+    every other f^c built from them.  Nothing more is stored once the table
+    holds _WINDOW_BUDGET terms.  Leaving sharing_powers, by return or by
+    exception, sets it back to None, so it is never pickled with the form and
+    never outlives the call.
     """
 
-    __slots__ = ("n", "d", "field", "terms", "_key", "_affine", "_repeated")
+    __slots__ = ("n", "d", "field", "terms", "_key", "_affine", "_repeated", "_powers")
 
     def __init__(self, field: FieldSpec, n: int, d: int, terms: dict):
         if n < 1:
@@ -97,14 +114,14 @@ class HomForm:
         self.n = n
         self.d = d
         self.terms = clean
-        self._key = self._affine = self._repeated = None
+        self._key = self._affine = self._repeated = self._powers = None
 
     @classmethod
     def _of(cls, field: FieldSpec, n: int, d: int, terms: dict) -> "HomForm":
         """Trusted: ``terms`` meets the class's precondition; nothing is checked."""
         f = cls.__new__(cls)
         f.field, f.n, f.d, f.terms = field, n, d, terms
-        f._key = f._affine = f._repeated = None
+        f._key = f._affine = f._repeated = f._powers = None
         return f
 
     @classmethod
@@ -297,16 +314,65 @@ def _addmul(out: dict, A: dict, c: int, shift: int, F: FieldSpec) -> None:
             del out[w]
 
 
-def _pow(A: dict, c: int, add: int, mask: int, F: FieldSpec) -> dict:
-    """A^c for c >= 1, by squaring, without the terms _mul drops."""
-    piece = None
+def _pow(A: dict, c: int, add: int, mask: int, F: FieldSpec,
+         squares: list | None = None) -> dict:
+    """A^c for c >= 1, by squaring, without the terms _mul drops.
+
+    ``squares``, when given, is the list [A, A^2, A^4, ...] of the squares
+    known so far: they are taken from it, and those computed here are
+    appended.  The products are the same with or without it, in the same
+    order, less the squares it already holds.
+    """
+    piece, j = None, 0
     while True:
         if c & 1:
             piece = A if piece is None else _mul(piece, A, add, mask, F)
         c >>= 1
         if not c:
             return piece
-        A = _mul(A, A, add, mask, F)
+        j += 1
+        if squares is not None and j < len(squares):
+            A = squares[j]
+        else:
+            A = _mul(A, A, add, mask, F)
+            if squares is not None:
+                squares.append(A)
+
+
+def _shared_power(table: dict, f: dict, c: int, s: int, add: int, mask: int,
+                  F: FieldSpec) -> dict:
+    """f^c truncated as _mul truncates, taken from or stored in a form's
+    power table (see HomForm)."""
+    key = (s, mask, add)
+    full = sum(len(t) for squares, powers in table.values()
+               for t in (*squares, *powers.values())) >= _WINDOW_BUDGET
+    level = table.get(key)
+    if level is None:
+        level = ([{w: v for w, v in f.items() if not (w + add) & mask}], {})
+        if not full:
+            table[key] = level
+    squares, powers = level
+    fc = powers.get(c)
+    if fc is None:
+        fc = _pow(squares[0], c, add, mask, F, squares[:] if full else squares)
+        if not full and c & c - 1:      # a power of two is one of the squares
+            powers[c] = fc
+    return fc
+
+
+@contextmanager
+def sharing_powers(f: HomForm):
+    """Inside the block, every ladder of f shares one table of f's truncated
+    powers (see HomForm).  The table is dropped on the way out, by return or
+    by exception, unless it was live already when the block began."""
+    if f._powers is not None:
+        yield
+        return
+    f._powers = {}
+    try:
+        yield
+    finally:
+        f._powers = None
 
 
 class ResidueLadder:
@@ -327,16 +393,28 @@ class ResidueLadder:
         self.mask = (1 << s - 1) * self.ones if bounded else 0
         self.frob = F.frobi if F.k > 1 else None
         self.f = {_pack(e, s): c for e, c in f.terms.items()}
+        self.table = f._powers
         self.terms = {0: 1}
 
     def times_f(self, c: int) -> None:
-        """Multiply the residue by f^c (by squaring) at the current depth."""
+        """Multiply the residue by f^c (by squaring) at the current depth.
+
+        f^c is built by _pow from the squares of f truncated at this depth.
+        While f's power table is live (sharing_powers), they come from it,
+        and so does f^c itself once any ladder of f has built it at this
+        width, mask and depth.  The products are those made without the
+        table, in the same order, so the residue is the same dict, in the
+        same insertion order, and BudgetError trips on the same inputs.
+        """
         if not c or not self.terms:
             return
         mask, F = self.mask, self.field
         add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if mask else 0
-        f = {w: v for w, v in self.f.items() if not (w + add) & mask}
-        self.terms = _mul(self.terms, _pow(f, c, add, mask, F), add, mask, F)
+        if self.table is None:
+            fc = _pow({w: v for w, v in self.f.items() if not (w + add) & mask}, c, add, mask, F)
+        else:
+            fc = _shared_power(self.table, self.f, c, self.s, add, mask, F)
+        self.terms = _mul(self.terms, fc, add, mask, F)
 
     def rise(self, c: int) -> None:
         """One ladder step: raise to the p-th power, then multiply by f^c."""

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, product
@@ -13,8 +14,10 @@ from fptlib import (
     UPoly,
     ValidationError,
     coeff_of_power,
+    fpt_general,
     in_frobenius_power,
     is_squarefree_binary,
+    nu,
     parse_form,
     perfect_power_decompose,
     pow_mod_frobenius,
@@ -23,7 +26,8 @@ from fptlib import (
     substitute_linear,
     trinomial_obstructions,
 )
-from fptlib.forms import _form_pow
+from fptlib import forms
+from fptlib.forms import _form_pow, sharing_powers
 
 # ---------------------------------------------------------------------------
 # an independent oracle: completely naive expansion of f^N, then filtering
@@ -679,3 +683,133 @@ class TestParser:
         K = FieldSpec(7)
         assert parse_form("x^2-y^2", K) == parse_form("x^2+6*y^2", K)
         assert parse_form("2x y", K) == parse_form("2*x*y", K)
+
+
+class TestPowerTable:
+    """A form's table of truncated powers (HomForm, forms.sharing_powers):
+    nu's probes share it, and it changes no result, no residue's insertion
+    order and no pickled form."""
+
+    # (p, n, d, depths); for (2, 2, 3) the levels p^e >= d, e = 2 and 3, have
+    # add == 0 at widths 3 and 4, like an unbounded ladder of either width
+    CASES = [(2, 2, 3, (1, 2, 3)), (2, 3, 3, (2, 3)), (2, 4, 2, (1, 2)),
+             (3, 2, 4, (1, 2)), (3, 3, 3, (1, 2)), (3, 4, 2, (1, 2)),
+             (5, 2, 3, (1, 2)), (5, 3, 2, (1, 2)), (7, 2, 3, (1, 2)),
+             (7, 3, 3, (1,)), (7, 4, 2, (1,))]
+
+    @staticmethod
+    def stored(f):
+        return {key: (len(squares), sorted(powers)) for key, (squares, powers) in f._powers.items()}
+
+    def test_one_live_table_across_every_entry_point(self):
+        # the table stays live from the first call to the last, over several
+        # depths, bounded and unbounded ladders, in shuffled order; every
+        # result is checked against full expansion by naive products
+        rng = random.Random(41)
+        for p, n, d, depths in self.CASES:
+            K = FieldSpec(p)
+            f = random_form(K, n, d, rng)
+            his = {e: -(-min(n, d) * p ** e // d) + 1 for e in depths}
+            full = [{(0,) * n: 1}]
+            while len(full) <= max(his.values()):
+                full.append(_naive_mul_terms(K, full[-1], f.terms))
+
+            def residue(N, e):
+                return {w: c for w, c in full[N].items() if max(w) < p ** e}
+
+            calls = [("nu", None, e) for e in depths]
+            for e in depths:
+                calls += [("member", N, e) for N in rng.sample(range(his[e] + 1), 4)]
+                calls += [("residue", N, e) for N in rng.sample(range(his[e] + 1), 3)]
+            if n == 2:
+                calls += [("coeff", N, rng.randrange(d * N + 1)) for N in (1, 2, 3, 4)]
+                calls += [("power", r, None) for r in (2, 3)]
+            rng.shuffle(calls)
+            with sharing_powers(f):
+                for kind, N, e in calls:
+                    case = (p, n, d, f.as_text(), kind, N, e)
+                    if kind == "nu":
+                        want = max(M for M in range(his[e] + 1) if residue(M, e))
+                        assert nu(f, e) == want, case
+                    elif kind == "member":
+                        assert in_frobenius_power(f, N, e) == (not residue(N, e)), case
+                    elif kind == "residue":
+                        assert pow_mod_frobenius(f, N, e) == residue(N, e), case
+                    elif kind == "coeff":
+                        j = e
+                        want = GFElem(K, full[N].get((d * N - j, j), 0))
+                        assert coeff_of_power(f, N, j) == want, case
+                    else:
+                        assert _form_pow(f, N).terms == full[N], case
+                assert f._powers
+                if p == 2 and n == 2:
+                    assert any(mask and not add for _, mask, add in f._powers)
+            assert f._powers is None
+
+    def test_nu_makes_fewer_products_and_the_same_residues(self, monkeypatch):
+        # a dense ternary cubic over F_7 at depth 2, as multivar_queries
+        # draws them: the probes one at a time, each on a fresh ladder, make
+        # more products than nu, and each probe's residue is the same dict in
+        # the same insertion order either way
+        f = random_form(FieldSpec(7), 3, 3, random.Random(5))
+        calls, residues = [0], []
+        mul, ladder = forms._mul, forms._power_ladder
+
+        def counting_mul(*args):
+            calls[0] += 1
+            return mul(*args)
+
+        def recording_ladder(g, N, e):
+            lad = ladder(g, N, e)
+            residues.append((N, list(lad.terms.items())))
+            return lad
+
+        monkeypatch.setattr(forms, "_mul", counting_mul)
+        monkeypatch.setattr(forms, "_power_ladder", recording_ladder)
+        certs = []
+        nu(f, 2, certs)
+        shared, in_nu = calls[0], residues[:]
+        calls[0] = 0
+        for c in certs:
+            assert in_frobenius_power(f, c.N, 2) == c.member
+        assert residues[len(in_nu):] == in_nu
+        assert any(items for _, items in in_nu)
+        assert shared < calls[0]
+
+    def test_lifetime(self, monkeypatch):
+        f = random_form(FieldSpec(7), 3, 3, random.Random(5))
+        before = pickle.dumps(f)
+        assert fpt_general(f, 2).method == "bounded-fallback"
+        assert f._powers is None
+        assert pickle.dumps(f) == before
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 50)
+        with pytest.raises(BudgetError):
+            nu(f, 2)
+        assert f._powers is None
+
+    def test_table_stops_at_the_budget(self, monkeypatch):
+        # every product of this binary cubic over F_11 at depth 2 has at most
+        # 82 terms, and its table would hold 137: at a budget of 100 the
+        # table stops short of that, takes no new entry, and every result
+        # stays the same
+        f = random_form(FieldSpec(11), 2, 3, random.Random(1))
+
+        def size():
+            return sum(len(t) for squares, powers in f._powers.values()
+                       for t in (*squares, *powers.values()))
+
+        certs = []
+        with sharing_powers(f):
+            want = nu(f, 2, certs)
+            unbounded = size()
+        residues = [pow_mod_frobenius(f, c.N, 2) for c in certs]
+        shallow = nu(f, 1)
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 100)
+        with sharing_powers(f):
+            again = []
+            assert nu(f, 2, again) == want and again == certs
+            assert 100 <= size() < unbounded
+            full = self.stored(f)
+            assert [pow_mod_frobenius(f, c.N, 2) for c in certs] == residues
+            assert nu(f, 1) == shallow
+            assert self.stored(f) == full
