@@ -148,7 +148,7 @@ def cmd_verify_paper(args) -> int:
         if rep.generic_value != max(expected):
             problems.append(
                 f"generic value {rep.generic_value} != table max {max(expected)}")
-        allowed = set(rep.admissible_values()) | {Fraction(2, args.d)}
+        allowed = set(rep.admissible_values())
         stray = expected - allowed
         if stray:
             problems.append(f"table values {sorted(map(str, stray))} "

@@ -37,11 +37,10 @@ Either way a sum that vanishes leaves the dict at once, and more than
 _WINDOW_BUDGET terms after a row is refused.  The text parser evaluates on
 the same packing with the same product.
 
-Each ladder step builds f^c, truncated at its depth, by squaring.  The
-threshold engine's nu asks one form for many N at one depth e, so for the
-length of that call (sharing_powers) the form keeps a private table of its
-truncated powers, and every probe takes f, f^2, f^4, ... and each f^c from
-it; truncation ladders, which visit each depth once, keep none.
+Each ladder step builds f^c, truncated at its depth, by squaring, and
+takes it from a table of truncated powers that belongs to the ladder.  The
+threshold engine's nu asks one form for many N at one depth e, so it probes
+a private copy of the form whose table all its ladders share (HomForm).
 
 Packed exponents compare as integers in a lex order (x_n most significant),
 and a lex order is a monomial order, so the perfect-power check takes m-th
@@ -54,7 +53,6 @@ on the form for the threshold engine's dominant-factor search.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from math import comb, gcd
 
 from .errors import BudgetError, ParseError, ValidationError
@@ -79,15 +77,11 @@ class HomForm:
     of nonzero encodings in [0, q) keyed by tuples of n non-negative ints
     summing to d, in the insertion order the form should keep.
 
-    ``_powers`` is the form's table of truncated powers, None except inside
-    sharing_powers (nu's probes).  Its key is a ladder's packing width s,
-    window mask and depth offset add, not add alone: for p = 2 a bounded
-    ladder's deepest level has add == 0, like an unbounded ladder of the same
-    width.  Each entry holds the squares f, f^2, f^4, ... truncated there and
-    every other f^c built from them.  Nothing more is stored once the table
-    holds _WINDOW_BUDGET terms.  Leaving sharing_powers, by return or by
-    exception, sets it back to None, so it is never pickled with the form and
-    never outlives the call.
+    ``_powers`` is None on every form a caller holds, and a ResidueLadder of
+    such a form keeps a power table of its own (_shared_power).  nu probes a
+    private copy of f whose ``_powers`` is a table, {}, and every ladder of
+    that copy uses it, so its probes share f's truncated powers; the copy is
+    dropped when nu returns.
     """
 
     __slots__ = ("n", "d", "field", "terms", "_key", "_affine", "_repeated", "_powers")
@@ -339,18 +333,23 @@ def _pow(A: dict, c: int, add: int, mask: int, F: FieldSpec,
                 squares.append(A)
 
 
-def _shared_power(table: dict, f: dict, c: int, s: int, add: int, mask: int,
-                  F: FieldSpec) -> dict:
-    """f^c truncated as _mul truncates, taken from or stored in a form's
-    power table (see HomForm)."""
-    key = (s, mask, add)
+def _shared_power(table: dict, f: dict, c: int, add: int, mask: int, F: FieldSpec) -> dict:
+    """f^c truncated as _mul truncates, taken from or stored in a power table.
+
+    The table maps a depth offset add to the squares f, f^2, f^4, ...
+    truncated there and every other f^c built from them.  add alone is a
+    safe key because a table belongs to one ladder or to one nu call, and in
+    both f is packed at one width with one mask, so add names the depth; for
+    an unbounded ladder it is 0 at every depth, where nothing is truncated.
+    Nothing more is stored once the table holds _WINDOW_BUDGET terms.
+    """
     full = sum(len(t) for squares, powers in table.values()
                for t in (*squares, *powers.values())) >= _WINDOW_BUDGET
-    level = table.get(key)
+    level = table.get(add)
     if level is None:
         level = ([{w: v for w, v in f.items() if not (w + add) & mask}], {})
         if not full:
-            table[key] = level
+            table[add] = level
     squares, powers = level
     fc = powers.get(c)
     if fc is None:
@@ -358,21 +357,6 @@ def _shared_power(table: dict, f: dict, c: int, s: int, add: int, mask: int,
         if not full and c & c - 1:      # a power of two is one of the squares
             powers[c] = fc
     return fc
-
-
-@contextmanager
-def sharing_powers(f: HomForm):
-    """Inside the block, every ladder of f shares one table of f's truncated
-    powers (see HomForm).  The table is dropped on the way out, by return or
-    by exception, unless it was live already when the block began."""
-    if f._powers is not None:
-        yield
-        return
-    f._powers = {}
-    try:
-        yield
-    finally:
-        f._powers = None
 
 
 class ResidueLadder:
@@ -393,27 +377,24 @@ class ResidueLadder:
         self.mask = (1 << s - 1) * self.ones if bounded else 0
         self.frob = F.frobi if F.k > 1 else None
         self.f = {_pack(e, s): c for e, c in f.terms.items()}
-        self.table = f._powers
+        self.table = {} if f._powers is None else f._powers
         self.terms = {0: 1}
 
     def times_f(self, c: int) -> None:
         """Multiply the residue by f^c (by squaring) at the current depth.
 
-        f^c is built by _pow from the squares of f truncated at this depth.
-        While f's power table is live (sharing_powers), they come from it,
-        and so does f^c itself once any ladder of f has built it at this
-        width, mask and depth.  The products are those made without the
-        table, in the same order, so the residue is the same dict, in the
-        same insertion order, and BudgetError trips on the same inputs.
+        f^c comes from the ladder's power table (_shared_power): _pow builds
+        it from the squares of f truncated at this depth, and both are kept
+        there for later steps at the same depth.  A stored square is the
+        dict _pow would compute again, so f^c and the residue are the same
+        dicts, in the same insertion order, and BudgetError trips on the
+        same inputs.
         """
         if not c or not self.terms:
             return
         mask, F = self.mask, self.field
         add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if mask else 0
-        if self.table is None:
-            fc = _pow({w: v for w, v in self.f.items() if not (w + add) & mask}, c, add, mask, F)
-        else:
-            fc = _shared_power(self.table, self.f, c, self.s, add, mask, F)
+        fc = _shared_power(self.table, self.f, c, add, mask, F)
         self.terms = _mul(self.terms, fc, add, mask, F)
 
     def rise(self, c: int) -> None:

@@ -28,8 +28,7 @@ from fractions import Fraction
 
 from .errors import AnomalyError, ValidationError
 from .forms import (HomForm, ResidueLadder, affine_part, in_frobenius_power,
-                    is_squarefree_binary, perfect_power_decompose, repeated_part,
-                    sharing_powers)
+                    is_squarefree_binary, perfect_power_decompose, repeated_part)
 from .gfpoly import UPoly
 from .ratbase import mult_order
 
@@ -98,10 +97,9 @@ def nu(f: HomForm, e: int, certs: list | None = None) -> int:
     """Largest N with f^N outside the e-th Frobenius power.
 
     Monotone in N, so binary search on [0, ceil(min(n,d)/d * p^e) + 1].
-    Each probe is one in_frobenius_power call on its own ladder, and for the
-    length of the call all of them share f's table of truncated powers
-    (forms.sharing_powers): each f^c is built once per depth, not once per
-    probe.  The table is dropped when nu returns or raises.
+    Each probe is one in_frobenius_power call on its own ladder, made on a
+    private copy of f whose power table all of them share (forms.HomForm):
+    each f^c is built once per depth, not once per probe.
     """
     if e < 1:
         raise ValidationError("depth e must be >= 1")
@@ -109,16 +107,17 @@ def nu(f: HomForm, e: int, certs: list | None = None) -> int:
     cap = min(f.n, f.d) * p ** e
     hi = -(-cap // f.d) + 1          # known member
     lo = 0                           # f^0 = 1 is outside
-    with sharing_powers(f):
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            member = in_frobenius_power(f, mid, e)
-            if certs is not None:
-                certs.append(MembershipCheck(mid, e, member))
-            if member:
-                hi = mid
-            else:
-                lo = mid
+    shared = HomForm._of(f.field, f.n, f.d, f.terms)
+    shared._powers = {}
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        member = in_frobenius_power(shared, mid, e)
+        if certs is not None:
+            certs.append(MembershipCheck(mid, e, member))
+        if member:
+            hi = mid
+        else:
+            lo = mid
     return lo
 
 

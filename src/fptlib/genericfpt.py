@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .fptengine import fpt_general
 from .forms import random_form
 from .gfpoly import FieldSpec
-from .ratbase import min_e_two_p_pow, require_prime, trunc
+from .ratbase import require_prime, trunc
 
 
 class TraceRow(namedtuple("TraceRow", "L N_L remainder cond_a cond_b")):
@@ -98,11 +98,7 @@ def generic_fpt_binary(d: int, p: int) -> Fraction:
     the smallest e with 2 p^e = 1 (mod d), else 2/d itself."""
     if d < 2:
         raise ValidationError("need d >= 2")
-    require_prime(p)
-    e = min_e_two_p_pow(d, p, target=1)
-    if e is None:
-        return Fraction(2, d)
-    return trunc(Fraction(2, d), p, e).value
+    return generic_fpt(2, d, p).value
 
 
 def check_keylemma_condition(n: int, d: int, p: int, L: int) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 
 from .errors import ValidationError
-from .ratbase import is_prime, require_prime
+from .ratbase import require_prime
 
 _TABLE_MAX_Q = 512          # build a multiplication table up to this field size
 _ROOT_BRUTE_MAX_Q = 121     # exhaustive root search up to here; the gcd with u^q - u wins from 125
@@ -150,28 +150,21 @@ def _ppowmod(a, n: int, m, F: "FieldSpec") -> list[int]:
 
 
 def _is_irreducible(m: list[int], Fp: "FieldSpec") -> bool:
-    """Rabin test for a monic polynomial over the prime field Fp."""
+    """Ben-Or's test for a monic polynomial over the prime field Fp: m of
+    degree k is irreducible iff gcd(x^{p^i} - x, m) = 1 for every i <= k/2,
+    since a reducible m has an irreducible factor of degree at most k/2,
+    which divides x^{p^i} - x for i its degree."""
     k = len(m) - 1
     if k < 1:
         return False
-    if k == 1:
-        return True
-    p, x = Fp.p, [0, 1]
-    xp = [_ppowmod(x, p, m, Fp)]  # xp[j] = x^{p^{j+1}} mod m
-
-    def _coprime_at(j: int) -> bool:
-        g = xp[j - 1] + [0] * (2 - len(xp[j - 1]))
+    xp = [0, 1]             # x^{p^i} mod m
+    for _ in range(k // 2):
+        xp = _ppowmod(xp, Fp.p, m, Fp)
+        g = xp + [0] * (2 - len(xp))
         g[1] = Fp.subi(g[1], 1)
-        return len(_pgcd(_trim(g), m, Fp)) == 1
-
-    if not _coprime_at(1):        # a root in F_p: a linear factor
-        return False
-    for _ in range(k - 1):
-        xp.append(_ppowmod(xp[-1], p, m, Fp))
-    if xp[k - 1] != x:
-        return False
-    # gcd(x^{p^{k/ell}} - x, m) = 1 for every prime ell | k
-    return all(_coprime_at(k // ell) for ell in range(2, k + 1) if k % ell == 0 and is_prime(ell))
+        if len(_pgcd(_trim(g), m, Fp)) != 1:
+            return False
+    return True
 
 
 def _smallest_modulus(Fp: "FieldSpec", k: int) -> tuple[int, ...]:

@@ -96,17 +96,7 @@ def trunc(lam: Fraction, p: int, e: int, terminating: bool = False) -> Truncatio
 
 def digits(lam: Fraction, p: int, e: int) -> list[int]:
     """First e digits of the non-terminating base-p expansion of ``lam``."""
-    lam = _check_lam(lam)
-    require_prime(p)
-    if e < 1:
-        raise ValidationError(f"e must be >= 1, got {e}")
-    out = []
-    prev = 0
-    for j in range(1, e + 1):
-        cur = trunc(lam, p, j).numer
-        out.append(cur - p * prev)
-        prev = cur
-    return out
+    return trunc(lam, p, e).digits()
 
 
 def mult_order(p: int, b: int) -> int:

@@ -36,10 +36,9 @@ from .forms import HomForm, in_frobenius_power, is_squarefree_binary
 from .forms import pow_mod_frobenius  # noqa: F401  kept bound: fptbench/tracer.py wraps it here
 from .fptengine import _exact_value
 from .fptengine import fpt_binary_exact  # noqa: F401  kept bound: fptbench/tracer.py wraps it here
-from .genericfpt import generic_fpt_binary
+from .genericfpt import generic_fpt
 from .gfpoly import FieldSpec, GFElem, UPoly
-from .ratbase import (bms_excluded, is_prime, lucas_binom, min_e_two_p_pow, mult_order,
-                      require_prime, trunc)
+from .ratbase import bms_excluded, is_prime, lucas_binom, mult_order, require_prime, trunc
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -134,10 +133,8 @@ def candidates(d: int, p: int, l_cap: int = 12) -> CandidateReport:
     lam = Fraction(2, d)
     b = lam.denominator
     bound = mult_order(p, b) if b % p else l_cap
-    gval = generic_fpt_binary(d, p)
-    gL = None
-    if gval != lam:
-        gL = min_e_two_p_pow(d, p, target=1)
+    generic = generic_fpt(2, d, p)
+    gval, gL = generic.value, generic.L
     entries = []
     for L in range(1, bound + 1):
         c1, c2, c3 = hnwz_flags(d, p, L)
@@ -437,7 +434,7 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
     if total > budget:
         raise BudgetError(f"enumeration needs {total} forms but budget is {budget}; "
                           f"rerun with budget >= {total}", required=total, budget=budget)
-    admissible = frozenset(candidates(d, p).admissible_values()) | {Fraction(2, d)}
+    admissible = frozenset(candidates(d, p).admissible_values())
     threshold = partial(_threshold, reduced_only=reduced_only)
     records: dict[Fraction, ValueRecord] = {}
     unresolved = skipped = 0
@@ -508,12 +505,10 @@ def _target_depth(d: int, p: int, target: Fraction) -> tuple[int, int]:
         e += 1
     if den != 1 or e == 0:
         raise ValidationError(f"target {target} does not have a p-power denominator")
-    for L in range(1, 4 * e + 8):
-        tv = trunc(lam, p, L)
-        if tv.value == target:
-            return target.numerator, e
-        if tv.value > target:
-            break
+    # a truncation N_L/p^L equal to N/p^e, p not dividing N, has zero digits
+    # after the e-th, so it is also the truncation at depth e
+    if trunc(lam, p, e).value == target:
+        return target.numerator, e
     raise ValidationError(f"target {target} is not a truncation of {lam} base {p}")
 
 

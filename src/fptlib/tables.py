@@ -86,8 +86,3 @@ def reduced_fpt_values(d: int, p: int) -> frozenset[Fraction]:
             return frozenset({F(1, 4), F(2, 9)})
         return frozenset({F(1, 4), F(p - 3, 4 * p), F(p**2 - 1, 4 * p**2)})
     raise ValidationError(f"no reference table for degree {d} (supported: 3..8)")
-
-
-def generic_value(d: int, p: int) -> Fraction:
-    """The maximal (generic) threshold, read off the reference table."""
-    return max(reduced_fpt_values(d, p))

@@ -27,7 +27,7 @@ from fptlib import (
     trinomial_obstructions,
 )
 from fptlib import forms
-from fptlib.forms import _form_pow, sharing_powers
+from fptlib.forms import _form_pow
 
 # ---------------------------------------------------------------------------
 # an independent oracle: completely naive expansion of f^N, then filtering
@@ -686,25 +686,40 @@ class TestParser:
 
 
 class TestPowerTable:
-    """A form's table of truncated powers (HomForm, forms.sharing_powers):
-    nu's probes share it, and it changes no result, no residue's insertion
-    order and no pickled form."""
+    """Power tables (forms._shared_power): each ladder keeps its own, nu's
+    probes share one through a private copy of f, and neither changes a
+    result, a residue's insertion order or a caller's form."""
 
-    # (p, n, d, depths); for (2, 2, 3) the levels p^e >= d, e = 2 and 3, have
-    # add == 0 at widths 3 and 4, like an unbounded ladder of either width
+    # (p, n, d, depths); for (2, 2, 3) the deepest bounded level of nu's
+    # ladders, p^e = 2^(s-1), has add == 0, the key of an unbounded ladder
     CASES = [(2, 2, 3, (1, 2, 3)), (2, 3, 3, (2, 3)), (2, 4, 2, (1, 2)),
              (3, 2, 4, (1, 2)), (3, 3, 3, (1, 2)), (3, 4, 2, (1, 2)),
              (5, 2, 3, (1, 2)), (5, 3, 2, (1, 2)), (7, 2, 3, (1, 2)),
              (7, 3, 3, (1,)), (7, 4, 2, (1,))]
 
     @staticmethod
-    def stored(f):
-        return {key: (len(squares), sorted(powers)) for key, (squares, powers) in f._powers.items()}
+    def capture(monkeypatch):
+        """Patch forms._shared_power to record each call's table, add and
+        mask, in call order."""
+        seen, shared_power = [], forms._shared_power
 
-    def test_one_live_table_across_every_entry_point(self):
-        # the table stays live from the first call to the last, over several
-        # depths, bounded and unbounded ladders, in shuffled order; every
+        def recording(table, f, c, add, mask, F):
+            fc = shared_power(table, f, c, add, mask, F)
+            seen.append((table, add, mask))
+            return fc
+
+        monkeypatch.setattr(forms, "_shared_power", recording)
+        return seen
+
+    @staticmethod
+    def stored(table):
+        return {add: (len(squares), sorted(powers)) for add, (squares, powers) in table.items()}
+
+    def test_nu_and_every_entry_point_match_naive_residues(self, monkeypatch):
+        # nu, and each ordinary entry point on its own ladder, over several
+        # depths and bounded and unbounded ladders, in shuffled order; every
         # result is checked against full expansion by naive products
+        seen = self.capture(monkeypatch)
         rng = random.Random(41)
         for p, n, d, depths in self.CASES:
             K = FieldSpec(p)
@@ -725,26 +740,28 @@ class TestPowerTable:
                 calls += [("coeff", N, rng.randrange(d * N + 1)) for N in (1, 2, 3, 4)]
                 calls += [("power", r, None) for r in (2, 3)]
             rng.shuffle(calls)
-            with sharing_powers(f):
-                for kind, N, e in calls:
-                    case = (p, n, d, f.as_text(), kind, N, e)
-                    if kind == "nu":
-                        want = max(M for M in range(his[e] + 1) if residue(M, e))
-                        assert nu(f, e) == want, case
-                    elif kind == "member":
-                        assert in_frobenius_power(f, N, e) == (not residue(N, e)), case
-                    elif kind == "residue":
-                        assert pow_mod_frobenius(f, N, e) == residue(N, e), case
-                    elif kind == "coeff":
-                        j = e
-                        want = GFElem(K, full[N].get((d * N - j, j), 0))
-                        assert coeff_of_power(f, N, j) == want, case
-                    else:
-                        assert _form_pow(f, N).terms == full[N], case
-                assert f._powers
-                if p == 2 and n == 2:
-                    assert any(mask and not add for _, mask, add in f._powers)
-            assert f._powers is None
+            zero_add = False
+            for kind, N, e in calls:
+                case = (p, n, d, f.as_text(), kind, N, e)
+                del seen[:]
+                if kind == "nu":
+                    want = max(M for M in range(his[e] + 1) if residue(M, e))
+                    assert nu(f, e) == want, case
+                    assert len({id(table) for table, _, _ in seen}) <= 1, case
+                    zero_add |= any(mask and not add for _, add, mask in seen)
+                elif kind == "member":
+                    assert in_frobenius_power(f, N, e) == (not residue(N, e)), case
+                elif kind == "residue":
+                    assert pow_mod_frobenius(f, N, e) == residue(N, e), case
+                elif kind == "coeff":
+                    j = e
+                    want = GFElem(K, full[N].get((d * N - j, j), 0))
+                    assert coeff_of_power(f, N, j) == want, case
+                else:
+                    assert _form_pow(f, N).terms == full[N], case
+                assert f._powers is None, case
+            if p == 2 and n == 2:
+                assert zero_add
 
     def test_nu_makes_fewer_products_and_the_same_residues(self, monkeypatch):
         # a dense ternary cubic over F_7 at depth 2, as multivar_queries
@@ -777,39 +794,56 @@ class TestPowerTable:
         assert shared < calls[0]
 
     def test_lifetime(self, monkeypatch):
+        # a caller's form never holds a table, so pickling it is unchanged
+        # by every entry point, and by one that runs out of budget
         f = random_form(FieldSpec(7), 3, 3, random.Random(5))
-        before = pickle.dumps(f)
+        g = random_form(FieldSpec(5), 2, 4, random.Random(5))
+        before = pickle.dumps(f), pickle.dumps(g)
         assert fpt_general(f, 2).method == "bounded-fallback"
-        assert f._powers is None
-        assert pickle.dumps(f) == before
+        assert nu(f, 2) and nu(g, 2)
+        assert pow_mod_frobenius(f, 7, 2) and pow_mod_frobenius(g, 3, 2)
+        assert coeff_of_power(g, 3, 5) is not None
+        assert f._powers is None and g._powers is None
+        assert (pickle.dumps(f), pickle.dumps(g)) == before
         monkeypatch.setattr(forms, "_WINDOW_BUDGET", 50)
         with pytest.raises(BudgetError):
             nu(f, 2)
         assert f._powers is None
+        assert pickle.dumps(f) == before[0]
 
     def test_table_stops_at_the_budget(self, monkeypatch):
         # every product of this binary cubic over F_11 at depth 2 has at most
-        # 82 terms, and its table would hold 137: at a budget of 100 the
-        # table stops short of that, takes no new entry, and every result
-        # stays the same
+        # 82 terms, and nu's table would hold 137: at a budget of 100 the
+        # table stops short of that, takes no new entry once full, and every
+        # result stays the same
         f = random_form(FieldSpec(11), 2, 3, random.Random(1))
+        seen = self.capture(monkeypatch)
 
-        def size():
-            return sum(len(t) for squares, powers in f._powers.values()
+        def size(table):
+            return sum(len(t) for squares, powers in table.values()
                        for t in (*squares, *powers.values()))
 
         certs = []
-        with sharing_powers(f):
-            want = nu(f, 2, certs)
-            unbounded = size()
+        want = nu(f, 2, certs)
+        unbounded = size(seen[-1][0])
         residues = [pow_mod_frobenius(f, c.N, 2) for c in certs]
         shallow = nu(f, 1)
         monkeypatch.setattr(forms, "_WINDOW_BUDGET", 100)
-        with sharing_powers(f):
-            again = []
-            assert nu(f, 2, again) == want and again == certs
-            assert 100 <= size() < unbounded
-            full = self.stored(f)
-            assert [pow_mod_frobenius(f, c.N, 2) for c in certs] == residues
-            assert nu(f, 1) == shallow
-            assert self.stored(f) == full
+        del seen[:]
+        snapshots = []
+        _shared_power = forms._shared_power
+
+        def snapshot(table, *args):
+            fc = _shared_power(table, *args)
+            snapshots.append((size(table), self.stored(table)))
+            return fc
+
+        monkeypatch.setattr(forms, "_shared_power", snapshot)
+        again = []
+        assert nu(f, 2, again) == want and again == certs
+        assert len({id(table) for table, _, _ in seen}) == 1
+        assert 100 <= size(seen[-1][0]) < unbounded
+        first_full = next(i for i, (n, _) in enumerate(snapshots) if n >= 100)
+        assert all(stored == snapshots[first_full][1] for _, stored in snapshots[first_full:])
+        assert [pow_mod_frobenius(f, c.N, 2) for c in certs] == residues
+        assert nu(f, 1) == shallow

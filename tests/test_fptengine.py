@@ -14,6 +14,7 @@ from fptlib import (
     fpt_general,
     fpt_monomial,
     in_frobenius_power,
+    is_squarefree_binary,
     nu,
     parse_form,
     substitute_linear,
@@ -82,6 +83,15 @@ class TestBinaryExact:
         assert fpt_binary_exact(parse_form("x^5+y^5", FieldSpec(7))).value == Q(19, 49)
         assert fpt_binary_exact(parse_form("x*y*(x+y)", FieldSpec(5))).value == Q(3, 5)
         assert fpt_binary_exact(parse_form("x*y*(x^2+y^2)", FieldSpec(3))).value == Q(1, 3)
+
+    def test_p_dividing_the_denominator_falls_back(self):
+        # 2/12 = 1/6 and 3 divides 6: no truncation rule applies to this
+        # squarefree form, which gets the depth-e_cap interval
+        f = parse_form("x^12+x*y^11+y^12", FieldSpec(3))
+        assert is_squarefree_binary(f)
+        res = fpt_binary_exact(f, e_cap=2)
+        assert (res.method, res.low, res.high) == ("bounded-fallback", Q(0), Q(1, 9))
+        assert (res.low, res.high) == fpt_bounds(f, 2)
 
     def test_degenerate_trinomial_septic_is_exact(self):
         # x(x^6+x^3y^3+y^6) = x(x+2y)^6 over F_3: neither squarefree nor a

@@ -7,6 +7,7 @@ from fptlib import (
     check_keylemma_condition,
     generic_fpt,
     generic_fpt_binary,
+    min_e_two_p_pow,
     sample_max_fpt,
 )
 from fptlib.ratbase import is_prime, trunc
@@ -27,12 +28,17 @@ class TestGenericFormula:
         assert generic_fpt_binary(8, 2) == Q(1, 4)
 
     def test_matches_binary_specialization(self):
-        for d in range(2, 41):
-            for p in range(2, 51):
+        # for n = 2 the place L is the smallest e with 2 p^e = 1 (mod d), and
+        # the value is the truncation of 2/d there, or 2/d when there is none
+        for d in range(2, 80):
+            for p in range(2, 80):
                 if not is_prime(p):
                     continue
                 rep = generic_fpt(2, d, p)
-                assert rep.value == generic_fpt_binary(d, p), (d, p)
+                e = min_e_two_p_pow(d, p, target=1)
+                want = Q(2, d) if e is None else trunc(Q(2, d), p, e).value
+                assert (rep.value, rep.L) == (want, e), (d, p)
+                assert generic_fpt_binary(d, p) == want, (d, p)
 
     def test_p_congruent_one_keeps_n_over_d(self):
         for n, d, p in [(2, 5, 11), (2, 7, 29), (3, 8, 17), (2, 9, 19)]:

@@ -366,3 +366,22 @@ class TestPrimeFieldKernel:
                 assert f.is_squarefree() == _naive_squarefree(a, p)
 
         check()
+
+
+class TestIrreducibility:
+    def test_matches_a_factor_search(self):
+        # every monic polynomial of degree k >= 1 over F_p with p^k <= 1000:
+        # reducible exactly when a monic factor of degree 1..k/2 divides it
+        from fptlib.gfpoly import _is_irreducible
+
+        for p in (2, 3, 5, 7, 11, 13):
+            Fp = FieldSpec(p)
+            k = 1
+            while p ** k <= 1000:
+                factors = [[enc // p ** i % p for i in range(j)] + [1]
+                           for j in range(1, k // 2 + 1) for enc in range(p ** j)]
+                for enc in range(p ** k):
+                    m = [enc // p ** i % p for i in range(k)] + [1]
+                    reducible = any(not _naive_divmod(m, g, p)[1] for g in factors)
+                    assert _is_irreducible(m, Fp) == (not reducible), (p, m)
+                k += 1

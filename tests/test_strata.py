@@ -22,6 +22,8 @@ from fptlib import (
     trinomial_witness_search,
     verify_genL1,
 )
+from fptlib import tables
+from fptlib.ratbase import is_prime
 
 
 class TestFlags:
@@ -70,6 +72,18 @@ class TestCandidates:
                 assert rep.generic_value == max(vals + [rep.generic_value])
                 if rep.generic_L is not None:
                     assert generic_fpt_binary(d, p) == rep.generic_value
+
+    def test_tables_are_the_admissible_values(self):
+        # the HNWZ conditions suffice up to degree 8: every admissible
+        # candidate is a reduced threshold, and the largest is the generic value
+        for d in range(3, 9):
+            for p in range(2, 200):
+                if not is_prime(p):
+                    continue
+                rep = candidates(d, p)
+                values = tables.reduced_fpt_values(d, p)
+                assert values == set(rep.admissible_values()), (d, p)
+                assert max(values) == rep.generic_value == generic_fpt_binary(d, p), (d, p)
 
 
 class TestCensus:
@@ -152,13 +166,31 @@ class TestCensus:
 
     def test_soundness_check_wiring(self, monkeypatch):
         # a wrong admissible set must raise loudly: with no admissible
-        # truncation only 2/d = 1/2 is allowed, and the reduced 1/3 is not
+        # truncation and the generic value a truncation, nothing is allowed
         from fptlib import AnomalyError, strata
 
         monkeypatch.setattr(strata, "candidates",
                             lambda d, p: strata.CandidateReport(d, p, (), Q(1, 2), 1))
         with pytest.raises(AnomalyError):
             census(4, 3, 1, reduced_only=True)
+
+    def test_two_over_d_above_the_generic_value_is_an_anomaly(self, monkeypatch):
+        # over F_2 the generic quintic value is 3/8 < 2/5, so no reduced
+        # quintic reaches 2/5, and a census that meets one raises
+        from fptlib import AnomalyError
+
+        exact = strata._exact_value
+        monkeypatch.setattr(strata, "_exact_value",
+                            lambda f: Q(2, 5) if is_squarefree_binary(f) else exact(f))
+        with pytest.raises(AnomalyError):
+            census(5, 2)
+
+    def test_p_dividing_the_denominator_is_unresolved(self):
+        # 2/12 = 1/6 and 2 divides 6: no rule gives a reduced form an exact
+        # value, so all 3,072 are unresolved, and none is an anomaly
+        rep = census(12, 2, reduced_only=True)
+        assert rep.unresolved == 3072 and rep.records == {}
+        assert rep.unresolved + rep.skipped_nonreduced == rep.total
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_index_walked_once(self, monkeypatch, workers):

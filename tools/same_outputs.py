@@ -1,0 +1,143 @@
+"""Do two revisions give the same outputs and make the same products?
+
+    python3 tools/same_outputs.py BASE CHANGE --seeds 0 1 5 113 --workdir /tmp/same
+
+Each revision is exported with ``git archive`` into its own directory under
+``--workdir``, and a child interpreter runs one pass of every fptbench
+workload there, at each seed, with that tree's ``src`` and ``fptbench`` first
+on its path and no bytecode written: the operation list comes from the
+tree's ``fptbench/inputs.py`` and each operation is run by its
+``fptbench/workloads.py``, which are imported, never edited.  For every
+(workload, seed) the child reports the sha256 of the ``to_dict()`` of each
+operation (or of the error it raised), and how many ``forms._mul`` calls and
+coefficient pairs (len(A) * len(B) per call) the pass made.  Both sides are
+printed, with the first operation whose output differs; the exit status is
+1 on any difference and 0 otherwise.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKLOADS = ["census", "exact_queries", "multivar_queries"]
+
+
+def export(rev: str, dest: Path) -> Path:
+    """The tree of ``rev`` extracted into ``dest``."""
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
+                         capture_output=True, check=True).stdout
+    dest.mkdir(parents=True, exist_ok=True)
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest)
+    return dest
+
+
+def child(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
+    """Run in the child: one pass per (workload, seed) in ``tree``."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(tree / "src"), str(tree / "fptbench")]
+    import fptlib
+    from fptlib import forms
+    import inputs
+    import workloads as wl
+
+    counts = [0, 0]
+    mul = forms._mul
+
+    def counting_mul(A, B, *args):
+        counts[0] += 1
+        counts[1] += len(A) * len(B)
+        return mul(A, B, *args)
+
+    forms._mul = counting_mul
+    out = {}
+    for w in workloads:
+        fields = inputs.fields_used(w)
+        for seed in seeds:
+            moduli = {pk: fptlib.FieldSpec(*pk).modulus for pk in fields}
+            ops = inputs.build(w, seed, moduli)
+            runner = wl.Runner(fields)
+            counts[:] = [0, 0]
+            hashes, failed = [], 0
+            for op in ops:
+                try:
+                    doc = wl.as_dict(runner.call(op))
+                except Exception as exc:      # a raised error is an output too
+                    doc, failed = {"raised": repr(exc)}, failed + 1
+                text = json.dumps(doc, sort_keys=True, default=str)
+                hashes.append(hashlib.sha256(text.encode()).hexdigest())
+            out[f"{w} seed {seed}"] = {
+                "ops": len(ops), "failed": failed, "mul_calls": counts[0],
+                "pairs": counts[1],
+                "sha256": hashlib.sha256("".join(hashes).encode()).hexdigest(),
+                "op_sha256": hashes}
+    return out
+
+
+def run_side(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--child", str(tree),
+         "--workload", *workloads, "--seeds", *map(str, seeds)],
+        cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"the run in {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def compare(base: dict, change: dict) -> tuple[list[str], bool]:
+    """Report lines for both sides, and whether anything differs."""
+    lines, differ = [], False
+    for key in base:
+        b, c = base[key], change[key]
+        lines.append(f"{key}: {b['ops']} operations")
+        for side, r in (("base", b), ("change", c)):
+            lines.append(f"  {side:6}  sha256 {r['sha256'][:16]}  _mul calls {r['mul_calls']:,}"
+                         f"  coefficient pairs {r['pairs']:,}  raised {r['failed']}")
+        diffs = [name for name in ("sha256", "mul_calls", "pairs", "failed") if b[name] != c[name]]
+        if diffs:
+            differ = True
+            first = next((i for i, (x, y) in enumerate(zip(b["op_sha256"], c["op_sha256"]))
+                          if x != y), None)
+            where = "" if first is None else f"; first differing operation #{first}"
+            lines.append(f"  DIFFERS: {', '.join(diffs)}{where}")
+        else:
+            lines.append("  same")
+    return lines, differ
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", nargs="?", help="parent revision")
+    ap.add_argument("change", nargs="?", help="revision with the change")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--workload", nargs="+", choices=WORKLOADS, default=WORKLOADS)
+    ap.add_argument("--workdir", type=Path, help="where the exports go")
+    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child, args.workload, args.seeds)))
+        return 0
+    if not (args.base and args.change and args.workdir):
+        ap.error("BASE, CHANGE and --workdir are required")
+    results = [run_side(export(rev, args.workdir / side), args.workload, args.seeds)
+               for side, rev in (("base", args.base), ("change", args.change))]
+    lines, differ = compare(*results)
+    print(f"base {args.base}, change {args.change}")
+    print("\n".join(lines))
+    print("DIFFERENT" if differ else "SAME")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
