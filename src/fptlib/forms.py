@@ -81,7 +81,8 @@ class HomForm:
     such a form keeps a power table of its own (_shared_power).  nu probes a
     private copy of f whose ``_powers`` is a table, {}, and every ladder of
     that copy uses it, so its probes share f's truncated powers; the copy is
-    dropped when nu returns.
+    dropped when nu returns.  All of nu's probes pack f at one width, which
+    is why a depth offset alone keys the table.
     """
 
     __slots__ = ("n", "d", "field", "terms", "_key", "_affine", "_repeated", "_powers")
