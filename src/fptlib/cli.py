@@ -202,7 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poly", required=True)
     sp.add_argument("--e-cap", dest="e_cap", type=int, default=None,
                     help="fallback interval depth when no exact rule applies "
-                         "(default: 8 for binary forms, 4 otherwise)")
+                         "(default: 8 for binary forms, 4 otherwise); a residue of "
+                         "more than 2^18 terms or a product of more than 2^24 "
+                         "coefficient pairs exits 3")
     common(sp)
     sp.set_defaults(func=cmd_fpt)
 

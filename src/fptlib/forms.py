@@ -33,14 +33,15 @@ exactly when (w + sum (G - bound) << s*i) & sum G << s*i is nonzero, and
 Frobenius on exponents is w * p.  Over F_p the product multiplies, adds and
 reduces each coefficient pair mod p with plain integer arithmetic, no method
 call; over F_{p^k}, k > 1, each pair goes through FieldSpec.muli and addi.
-Either way a sum that vanishes leaves the dict at once, and more than
-_WINDOW_BUDGET terms after a row is refused.  The text parser evaluates on
-the same packing with the same product.
+Either way a sum that vanishes leaves the dict at once, more than
+_WINDOW_BUDGET terms after a row is refused, and so is a product of more
+than _WORK_BUDGET coefficient pairs, before it starts.  The text parser
+evaluates on the same packing with the same product.
 
 Each ladder step builds f^c, truncated at its depth, by squaring, and
-takes it from a table of truncated powers that belongs to the ladder.  The
-threshold engine's nu asks one form for many N at one depth e, so it probes
-a private copy of the form whose table all its ladders share (HomForm).
+takes it from a table of truncated powers that belongs to the ladder and
+holds one depth.  The threshold engine's nu walks one ladder, finding one
+digit of nu per depth (ResidueLadder.rise_outside).
 
 Packed exponents compare as integers in a lex order (x_n most significant),
 and a lex order is a monomial order, so the perfect-power check takes m-th
@@ -59,6 +60,7 @@ from .errors import BudgetError, ParseError, ValidationError
 from .gfpoly import FieldSpec, GFElem, UPoly
 
 _WINDOW_BUDGET = 1 << 18    # most terms in a residue; x^3*y^2+x*y^4 over F_13 needs 185,649 at e=6
+_WORK_BUDGET = 1 << 24      # most coefficient pairs len(A)*len(B) in one product
 _PARSE_BITS = 32            # bits per variable in the parser's packing: degrees stay below 2^31
 
 
@@ -76,16 +78,9 @@ class HomForm:
     constructor: it takes ``terms`` as it is, so it must be a nonempty dict
     of nonzero encodings in [0, q) keyed by tuples of n non-negative ints
     summing to d, in the insertion order the form should keep.
-
-    ``_powers`` is None on every form a caller holds, and a ResidueLadder of
-    such a form keeps a power table of its own (_shared_power).  nu probes a
-    private copy of f whose ``_powers`` is a table, {}, and every ladder of
-    that copy uses it, so its probes share f's truncated powers; the copy is
-    dropped when nu returns.  All of nu's probes pack f at one width, which
-    is why a depth offset alone keys the table.
     """
 
-    __slots__ = ("n", "d", "field", "terms", "_key", "_affine", "_repeated", "_powers")
+    __slots__ = ("n", "d", "field", "terms", "_key", "_affine", "_repeated")
 
     def __init__(self, field: FieldSpec, n: int, d: int, terms: dict):
         if n < 1:
@@ -109,14 +104,14 @@ class HomForm:
         self.n = n
         self.d = d
         self.terms = clean
-        self._key = self._affine = self._repeated = self._powers = None
+        self._key = self._affine = self._repeated = None
 
     @classmethod
     def _of(cls, field: FieldSpec, n: int, d: int, terms: dict) -> "HomForm":
         """Trusted: ``terms`` meets the class's precondition; nothing is checked."""
         f = cls.__new__(cls)
         f.field, f.n, f.d, f.terms = field, n, d, terms
-        f._key = f._affine = f._repeated = f._powers = None
+        f._key = f._affine = f._repeated = None
         return f
 
     @classmethod
@@ -236,7 +231,8 @@ def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
 
     Coefficients are nonzero on input, so a first product never vanishes; a
     sum that vanishes is deleted at once and re-inserted if a later pair
-    reaches it.  Raises BudgetError once the product holds more than
+    reaches it.  Raises BudgetError before any pair when len(A) * len(B)
+    exceeds _WORK_BUDGET, and once the product holds more than
     _WINDOW_BUDGET terms after a row of A.
 
     Over F_p each pair is plain integer arithmetic, c1*c2 added and reduced
@@ -244,6 +240,9 @@ def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
     Both keep the same insertion order, so later products walk their rows
     in the same order and the budget trips on the same inputs.
     """
+    if len(A) * len(B) > _WORK_BUDGET:
+        raise BudgetError(f"a product of {len(A)} by {len(B)} terms exceeds the budget of "
+                          f"{_WORK_BUDGET} coefficient pairs", len(A) * len(B), _WORK_BUDGET)
     out: dict = {}
     get = out.get
     if F.k > 1:
@@ -334,40 +333,18 @@ def _pow(A: dict, c: int, add: int, mask: int, F: FieldSpec,
                 squares.append(A)
 
 
-def _shared_power(table: dict, f: dict, c: int, add: int, mask: int, F: FieldSpec) -> dict:
-    """f^c truncated as _mul truncates, taken from or stored in a power table.
-
-    The table maps a depth offset add to the squares f, f^2, f^4, ...
-    truncated there and every other f^c built from them.  add alone is a
-    safe key because a table belongs to one ladder or to one nu call, and in
-    both f is packed at one width with one mask, so add names the depth; for
-    an unbounded ladder it is 0 at every depth, where nothing is truncated.
-    Nothing more is stored once the table holds _WINDOW_BUDGET terms.
-    """
-    full = sum(len(t) for squares, powers in table.values()
-               for t in (*squares, *powers.values())) >= _WINDOW_BUDGET
-    level = table.get(add)
-    if level is None:
-        level = ([{w: v for w, v in f.items() if not (w + add) & mask}], {})
-        if not full:
-            table[add] = level
-    squares, powers = level
-    fc = powers.get(c)
-    if fc is None:
-        fc = _pow(squares[0], c, add, mask, F, squares[:] if full else squares)
-        if not full and c & c - 1:      # a power of two is one of the squares
-            powers[c] = fc
-    return fc
-
-
 class ResidueLadder:
     """The residue of f^N modulo (x_1^{p^depth}, ..., x_n^{p^depth}), advanced
     one base-p digit at a time: ``rise(c)`` takes N to p*N + c and depth to
-    depth + 1.  It starts at N = 0.
+    depth + 1, and ``rise_outside()`` picks the largest such c that leaves
+    f^N outside.  It starts at N = 0.
 
     ``guard`` is the least guard bit G the packing needs: at least p^depth
     for every depth the ladder reaches, and at least deg f.  With
     ``bounded=False`` nothing is truncated and G must exceed deg f^N.
+
+    A ladder only rises, so its power table (``power``) holds one depth
+    offset ``add``; an unbounded ladder has add == 0 at every depth.
     """
 
     def __init__(self, f: HomForm, depth: int, guard: int, bounded: bool = True):
@@ -378,25 +355,34 @@ class ResidueLadder:
         self.mask = (1 << s - 1) * self.ones if bounded else 0
         self.frob = F.frobi if F.k > 1 else None
         self.f = {_pack(e, s): c for e, c in f.terms.items()}
-        self.table = {} if f._powers is None else f._powers
+        self.add = None             # the depth offset of the power table
         self.terms = {0: 1}
 
-    def times_f(self, c: int) -> None:
-        """Multiply the residue by f^c (by squaring) at the current depth.
-
-        f^c comes from the ladder's power table (_shared_power): _pow builds
-        it from the squares of f truncated at this depth, and both are kept
-        there for later steps at the same depth.  A stored square is the
-        dict _pow would compute again, so f^c and the residue are the same
-        dicts, in the same insertion order, and BudgetError trips on the
-        same inputs.
-        """
-        if not c or not self.terms:
-            return
+    def power(self, c: int) -> dict:
+        """f^c (c >= 1) truncated at the current depth, from the power table:
+        the squares f, f^2, f^4, ... truncated there and every other f^c
+        built from them, ``held`` terms in all; nothing more is stored once
+        that reaches _WINDOW_BUDGET.  A stored square is the dict _pow would
+        compute again, in the same insertion order."""
         mask, F = self.mask, self.field
         add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if mask else 0
-        fc = _shared_power(self.table, self.f, c, add, mask, F)
-        self.terms = _mul(self.terms, fc, add, mask, F)
+        if add != self.add:
+            self.add = add
+            self.squares = [{w: v for w, v in self.f.items() if not (w + add) & mask}]
+            self.powers, self.held = {}, len(self.squares[0])
+        fc = self.powers.get(c)
+        if fc is None:
+            squares = self.squares
+            if self.held >= _WINDOW_BUDGET:
+                return _pow(squares[0], c, add, mask, F, squares[:])
+            known = len(squares)
+            fc = _pow(squares[0], c, add, mask, F, squares)
+            for t in squares[known:]:
+                self.held += len(t)
+            if c & c - 1:           # a power of two is one of the squares
+                self.powers[c] = fc
+                self.held += len(fc)
+        return fc
 
     def rise(self, c: int) -> None:
         """One ladder step: raise to the p-th power, then multiply by f^c."""
@@ -406,7 +392,32 @@ class ResidueLadder:
         else:
             self.terms = {w * p: frob(v) for w, v in self.terms.items()}
         self.depth += 1
-        self.times_f(c)
+        if c and self.terms:
+            fc = self.power(c)
+            self.terms = _mul(self.terms, fc, self.add, self.mask, self.field)
+
+    def rise_outside(self) -> int:
+        """One ladder step with the largest digit c that leaves f^(pN + c)
+        outside the next depth; returns c.
+
+        If N is nu at this depth (as N = 0 is at depth 0), pN + c is nu at
+        the next: f^(pN) is outside, as Frobenius maps the residue's
+        monomials to distinct ones inside the next window, and f^(p(N+1))
+        = (f^(N+1))^p is inside.  So c is bisected on [0, p), each probe
+        the p-th power residue times f^c, and the largest nonzero probe
+        becomes the residue.
+        """
+        self.rise(0)
+        base, lo, hi = self.terms, 0, self.p
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fc = self.power(mid)
+            probe = _mul(base, fc, self.add, self.mask, self.field)
+            if probe:
+                lo, self.terms = mid, probe
+            else:
+                hi = mid
+        return lo
 
     def climb(self, N: int) -> "ResidueLadder":
         """Rise along the base-p digits of N, most significant first."""

@@ -36,7 +36,8 @@ from .ratbase import mult_order
 class MembershipCheck(namedtuple("MembershipCheck", "N e member")):
     """One recorded test: is f^N in the e-th Frobenius power?
 
-    Fields: ``N`` and ``e`` (int), ``member`` (bool).
+    Fields: ``N`` and ``e`` (int), ``member`` (bool).  An interval's checks
+    are nu's bisection trail, member = N > nu, proved by nu's walk (see nu).
     """
 
     __slots__ = ()
@@ -53,7 +54,9 @@ class FptResult(namedtuple("FptResult", "status method value low high L certific
     dominant-factor, power-rule, prime-power-degree, truncation-candidate,
     generic-two-over-d, bounded-fallback; ``value`` (Fraction or None);
     ``low`` and ``high`` (Fraction or None), the interval (low, high];
-    ``L`` (int or None); ``certificates``, a tuple of MembershipCheck.
+    ``L`` (int or None); ``certificates``, a tuple of MembershipCheck.  An
+    interval (nu/p^e, (nu+1)/p^e] carries nu's trail at depth e (see nu);
+    an exact value carries the tests its rule made.
     """
 
     __slots__ = ()
@@ -96,33 +99,33 @@ class FptResult(namedtuple("FptResult", "status method value low high L certific
 def nu(f: HomForm, e: int, certs: list | None = None) -> int:
     """Largest N with f^N outside the e-th Frobenius power.
 
-    Monotone in N, so binary search on [0, ceil(min(n,d)/d * p^e) + 1].
-    Each probe is one in_frobenius_power call on its own ladder, made on a
-    private copy of f whose power table all of them share (forms.HomForm):
-    each f^c is built once per depth, not once per probe.
+    nu(j) = p nu(j-1) + c_j with 0 <= c_j < p (Mustata-Takagi-Watanabe),
+    so one ResidueLadder walk reads c_1, ..., c_e (rise_outside).  ``certs``
+    receives a bisection's trail on [0, ceil(min(n,d)/d * p^e) + 1), one
+    MembershipCheck(N, e, N > nu) per midpoint, and the walk proves each:
+    f^nu is outside; f^(nu+1) is inside, by the probe of c_e + 1 when c_e <
+    p - 1 and by Frobenius from depth e - 1 when c_e = p - 1; and
+    membership is monotone in N.
     """
     if e < 1:
         raise ValidationError("depth e must be >= 1")
     p = f.field.p
-    cap = min(f.n, f.d) * p ** e
-    hi = -(-cap // f.d) + 1          # known member
-    lo = 0                           # f^0 = 1 is outside
-    shared = HomForm._of(f.field, f.n, f.d, f.terms)
-    shared._powers = {}
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        member = in_frobenius_power(shared, mid, e)
-        if certs is not None:
-            certs.append(MembershipCheck(mid, e, member))
-        if member:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    ladder = ResidueLadder(f, 0, max(p ** e, f.d))
+    v = 0
+    for _ in range(e):
+        v = p * v + ladder.rise_outside()
+    if certs is not None:
+        lo, hi = 0, -(-min(f.n, f.d) * p ** e // f.d) + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            certs.append(MembershipCheck(mid, e, mid > v))
+            lo, hi = (lo, mid) if mid > v else (mid, hi)
+    return v
 
 
 def fpt_bounds(f: HomForm, e: int, certs: list | None = None) -> tuple[Fraction, Fraction]:
-    """The certified half-open interval (nu/p^e, (nu+1)/p^e] containing fpt(f)."""
+    """The certified half-open interval (nu/p^e, (nu+1)/p^e] containing
+    fpt(f), with nu's trail, which proves both ends, in ``certs`` (see nu)."""
     v = nu(f, e, certs)
     q = f.field.p ** e
     return Fraction(v, q), Fraction(v + 1, q)
@@ -200,13 +203,6 @@ def _dominant_result(f: HomForm, a: int) -> FptResult:
     return FptResult("exact", "dominant-factor", value=Fraction(1, a), certificates=certs)
 
 
-def _interval_result(f: HomForm, e_cap: int) -> FptResult:
-    certs: list[MembershipCheck] = []
-    lo, hi = fpt_bounds(f, e_cap, certs)
-    return FptResult("interval", "bounded-fallback", low=lo, high=hi,
-                     certificates=tuple(certs))
-
-
 def fpt_binary_exact(f: HomForm, e_cap: int | None = None) -> FptResult:
     """The threshold of a binary form (see fpt_general)."""
     if f.n != 2:
@@ -249,7 +245,9 @@ def fpt_general(f: HomForm, e_cap: int | None = None) -> FptResult:
     g, r = res
     if r > 1:
         return fpt_general(g, e_cap).scaled(r)
-    return _interval_result(f, e_cap)
+    certs: list[MembershipCheck] = []
+    lo, hi = fpt_bounds(f, e_cap, certs)
+    return FptResult("interval", "bounded-fallback", low=lo, high=hi, certificates=tuple(certs))
 
 
 def _exact_value(f: HomForm) -> Fraction | None:

@@ -102,11 +102,18 @@ class TestFpt:
         assert out.strip() == "(499/625, 4/5] (interval, bounded-fallback)"
 
     def test_explicit_e_cap_refused_over_budget(self, capsys):
-        # depth 6 on a cubic in 3 variables is refused, not lowered to depth 4
-        code, out, err = run(capsys, "fpt", "--p", "7", "--n", "3",
-                             "--poly", "x1^3+x2^3+x3^3+x1*x2*x3", "--e-cap", "6")
+        # depth 4 on this cubic in 4 variables is refused, not lowered to a
+        # depth within the budget
+        code, out, err = run(capsys, "fpt", "--p", "7", "--n", "4",
+                             "--poly", "x1^3+x2^3+x3^3+x4^3+x1*x2*x3", "--e-cap", "4")
         assert code == 3 and out == ""
         assert "budget" in err
+        # nu's walk holds residues of f^N only for N near nu, so a ternary
+        # cubic answers at depth 6
+        code, out, _ = run(capsys, "fpt", "--p", "7", "--n", "3",
+                           "--poly", "x1^3+x2^3+x3^3+x1*x2*x3", "--e-cap", "6")
+        assert code == 0
+        assert out.strip() == "(117648/117649, 1] (interval, bounded-fallback)"
 
     @pytest.mark.parametrize("poly", ["x^5+y^5", "x^2*y^2*(x+y)", "x1^2*x2+x3^3"],
                              ids=["exact", "interval", "ternary"])

@@ -382,20 +382,51 @@ class TestResidueProduct:
         assert (err.value.required, err.value.budget) == (4, 3)
 
     def test_budget_trips_on_the_same_ladder(self, monkeypatch):
-        # the least budget under which this depth-4 ladder finishes is 54.  It
-        # depends on the order of each product's rows, the insertion order of
-        # an earlier product: if a vanishing sum kept its key instead of being
-        # deleted and re-inserted later, 50 would do
+        # the least budget under which nu's depth-5 walk of this quintic
+        # finishes is 66.  It depends on the order of each product's rows,
+        # the insertion order of an earlier product: if a vanishing sum kept
+        # its key instead of being deleted and re-inserted later, 62 would do
         from fptlib import forms
         from fptlib.fptengine import fpt_bounds
 
-        f = parse_form("x^5+x^2*y^3+2*x*y^4+2*y^5", FieldSpec(3))
-        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 53)
+        f = parse_form("2*x^5+x^4*y+2*x^3*y^2+x^2*y^3+x*y^4+2*y^5", FieldSpec(3))
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 65)
         with pytest.raises(BudgetError) as err:
-            fpt_bounds(f, 4)
-        assert err.value.required == 54
-        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 54)
-        fpt_bounds(f, 4)
+            fpt_bounds(f, 5)
+        assert err.value.required == 66
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 66)
+        assert fpt_bounds(f, 5) == (Q(80, 243), Q(1, 3))
+
+    @pytest.mark.parametrize("pk", [(2, 1), (3, 2)])
+    def test_work_bound_trips_before_any_pair(self, pk, monkeypatch):
+        # len(A) * len(B) = 12 pairs against a bound of 11: refused with the
+        # size before a single coefficient pair is multiplied, inline over
+        # F_p or by FieldSpec.muli over F_9
+        from fptlib import forms
+
+        calls = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                calls.append(other)
+                return int(self) * other
+
+        K = self.FIELDS[pk]
+        A = {self.key((i,)): Counted(1) for i in range(3)}
+        B = self.pack({(i,): K.one() for i in range(4)})
+        muli = FieldSpec.muli
+        monkeypatch.setattr(FieldSpec, "muli", lambda F, a, b: calls.append(b) or muli(F, a, b))
+        monkeypatch.setattr(forms, "_WORK_BUDGET", 11)
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 0)
+        with pytest.raises(BudgetError) as err:
+            forms._mul(A, B, 0, 0, K)
+        assert (err.value.required, err.value.budget) == (12, 11)
+        assert "3 by 4 terms" in str(err.value) and calls == []
+        monkeypatch.setattr(forms, "_WORK_BUDGET", 12)
+        with pytest.raises(BudgetError) as err:
+            forms._mul(A, B, 0, 0, K)
+        assert err.value.budget == 0        # the window budget, after the first row
+        assert len(calls) == 4
 
 
 def _random_invertible(K, n, rng):
@@ -686,12 +717,12 @@ class TestParser:
 
 
 class TestPowerTable:
-    """Power tables (forms._shared_power): each ladder keeps its own, nu's
-    probes share one through a private copy of f, and neither changes a
-    result, a residue's insertion order or a caller's form."""
+    """Power tables (ResidueLadder.power): each ladder keeps its own, for one
+    depth at a time; nu walks one ladder; and neither changes a result, a
+    residue's insertion order or a caller's form."""
 
     # (p, n, d, depths); for (2, 2, 3) the deepest bounded level of nu's
-    # ladders, p^e = 2^(s-1), has add == 0, the key of an unbounded ladder
+    # ladder, p^e = 2^(s-1), has add == 0, the key of an unbounded ladder
     CASES = [(2, 2, 3, (1, 2, 3)), (2, 3, 3, (2, 3)), (2, 4, 2, (1, 2)),
              (3, 2, 4, (1, 2)), (3, 3, 3, (1, 2)), (3, 4, 2, (1, 2)),
              (5, 2, 3, (1, 2)), (5, 3, 2, (1, 2)), (7, 2, 3, (1, 2)),
@@ -699,21 +730,21 @@ class TestPowerTable:
 
     @staticmethod
     def capture(monkeypatch):
-        """Patch forms._shared_power to record each call's table, add and
+        """Patch ResidueLadder.power to record each call's ladder, add and
         mask, in call order."""
-        seen, shared_power = [], forms._shared_power
+        seen, power = [], forms.ResidueLadder.power
 
-        def recording(table, f, c, add, mask, F):
-            fc = shared_power(table, f, c, add, mask, F)
-            seen.append((table, add, mask))
+        def recording(ladder, c):
+            fc = power(ladder, c)
+            seen.append((ladder, ladder.add, ladder.mask))
             return fc
 
-        monkeypatch.setattr(forms, "_shared_power", recording)
+        monkeypatch.setattr(forms.ResidueLadder, "power", recording)
         return seen
 
     @staticmethod
-    def stored(table):
-        return {add: (len(squares), sorted(powers)) for add, (squares, powers) in table.items()}
+    def size(ladder):
+        return sum(len(t) for t in (*ladder.squares, *ladder.powers.values()))
 
     def test_nu_and_every_entry_point_match_naive_residues(self, monkeypatch):
         # nu, and each ordinary entry point on its own ladder, over several
@@ -747,7 +778,7 @@ class TestPowerTable:
                 if kind == "nu":
                     want = max(M for M in range(his[e] + 1) if residue(M, e))
                     assert nu(f, e) == want, case
-                    assert len({id(table) for table, _, _ in seen}) <= 1, case
+                    assert len({id(ladder) for ladder, _, _ in seen}) == 1, case
                     zero_add |= any(mask and not add for _, add, mask in seen)
                 elif kind == "member":
                     assert in_frobenius_power(f, N, e) == (not residue(N, e)), case
@@ -759,39 +790,51 @@ class TestPowerTable:
                     assert coeff_of_power(f, N, j) == want, case
                 else:
                     assert _form_pow(f, N).terms == full[N], case
-                assert f._powers is None, case
             if p == 2 and n == 2:
                 assert zero_add
 
     def test_nu_makes_fewer_products_and_the_same_residues(self, monkeypatch):
         # a dense ternary cubic over F_7 at depth 2, as multivar_queries
-        # draws them: the probes one at a time, each on a fresh ladder, make
-        # more products than nu, and each probe's residue is the same dict in
-        # the same insertion order either way
+        # draws them: nu walks one ladder, whose residue after each depth j
+        # is f^nu(j)'s as pow_mod_frobenius builds it, the same dict in the
+        # same insertion order; and it makes fewer products than a bisection
+        # that probes each N on a fresh ladder
         f = random_form(FieldSpec(7), 3, 3, random.Random(5))
-        calls, residues = [0], []
-        mul, ladder = forms._mul, forms._power_ladder
+        calls, ladders, walk = [0], [], []
+        mul, init = forms._mul, forms.ResidueLadder.__init__
+        rise_outside = forms.ResidueLadder.rise_outside
 
         def counting_mul(*args):
             calls[0] += 1
             return mul(*args)
 
-        def recording_ladder(g, N, e):
-            lad = ladder(g, N, e)
-            residues.append((N, list(lad.terms.items())))
-            return lad
+        def recording_init(ladder, *args, **kwargs):
+            init(ladder, *args, **kwargs)
+            ladders.append(ladder)
+
+        def recording_rise(ladder):
+            c = rise_outside(ladder)
+            walk.append((ladder.depth, c, list(ladder.residue().items())))
+            return c
 
         monkeypatch.setattr(forms, "_mul", counting_mul)
-        monkeypatch.setattr(forms, "_power_ladder", recording_ladder)
-        certs = []
-        nu(f, 2, certs)
-        shared, in_nu = calls[0], residues[:]
+        monkeypatch.setattr(forms.ResidueLadder, "__init__", recording_init)
+        monkeypatch.setattr(forms.ResidueLadder, "rise_outside", recording_rise)
+        v = nu(f, 2)
+        walked = calls[0]
+        assert len(ladders) == 1 and [depth for depth, _, _ in walk] == [1, 2]
+        N = 0
+        for depth, c, items in walk:
+            N = 7 * N + c
+            assert list(pow_mod_frobenius(f, N, depth).items()) == items
+        assert N == v and items
         calls[0] = 0
-        for c in certs:
-            assert in_frobenius_power(f, c.N, 2) == c.member
-        assert residues[len(in_nu):] == in_nu
-        assert any(items for _, items in in_nu)
-        assert shared < calls[0]
+        lo, hi = 0, 7 ** 2 + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if in_frobenius_power(f, mid, 2) else (mid, hi)
+        assert lo == v
+        assert walked < calls[0]
 
     def test_lifetime(self, monkeypatch):
         # a caller's form never holds a table, so pickling it is unchanged
@@ -803,47 +846,41 @@ class TestPowerTable:
         assert nu(f, 2) and nu(g, 2)
         assert pow_mod_frobenius(f, 7, 2) and pow_mod_frobenius(g, 3, 2)
         assert coeff_of_power(g, 3, 5) is not None
-        assert f._powers is None and g._powers is None
         assert (pickle.dumps(f), pickle.dumps(g)) == before
         monkeypatch.setattr(forms, "_WINDOW_BUDGET", 50)
         with pytest.raises(BudgetError):
             nu(f, 2)
-        assert f._powers is None
         assert pickle.dumps(f) == before[0]
 
     def test_table_stops_at_the_budget(self, monkeypatch):
-        # every product of this binary cubic over F_11 at depth 2 has at most
-        # 82 terms, and nu's table would hold 137: at a budget of 100 the
-        # table stops short of that, takes no new entry once full, and every
-        # result stays the same
-        f = random_form(FieldSpec(11), 2, 3, random.Random(1))
+        # nu's walk of this binary cubic over F_11 probes the digits 5, 8,
+        # 6, 7 at depth 1 and 5, 8, 9, 10 at depth 2; no product of the walk
+        # has more than 26 terms, and the depth-2 table would hold 109.  At a
+        # budget of 80 it stops short of that and takes no new entry once
+        # full, and nu's result and trail stay the same.  Throughout, ``held`` counts the
+        # terms the table holds, and a new depth starts a new table from f
+        f = random_form(FieldSpec(11), 2, 3, random.Random(3))
         seen = self.capture(monkeypatch)
-
-        def size(table):
-            return sum(len(t) for squares, powers in table.values()
-                       for t in (*squares, *powers.values()))
-
         certs = []
         want = nu(f, 2, certs)
-        unbounded = size(seen[-1][0])
-        residues = [pow_mod_frobenius(f, c.N, 2) for c in certs]
-        shallow = nu(f, 1)
-        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 100)
-        del seen[:]
-        snapshots = []
-        _shared_power = forms._shared_power
+        unbounded = self.size(seen[-1][0])
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 80)
+        snapshots, power = [], forms.ResidueLadder.power
 
-        def snapshot(table, *args):
-            fc = _shared_power(table, *args)
-            snapshots.append((size(table), self.stored(table)))
+        def snapshot(ladder, c):
+            fc = power(ladder, c)
+            snapshots.append((ladder.depth, c, ladder.held, self.size(ladder),
+                              len(ladder.squares), sorted(ladder.powers)))
             return fc
 
-        monkeypatch.setattr(forms, "_shared_power", snapshot)
+        monkeypatch.setattr(forms.ResidueLadder, "power", snapshot)
         again = []
         assert nu(f, 2, again) == want and again == certs
-        assert len({id(table) for table, _, _ in seen}) == 1
-        assert 100 <= size(seen[-1][0]) < unbounded
-        first_full = next(i for i, (n, _) in enumerate(snapshots) if n >= 100)
-        assert all(stored == snapshots[first_full][1] for _, stored in snapshots[first_full:])
-        assert [pow_mod_frobenius(f, c.N, 2) for c in certs] == residues
-        assert nu(f, 1) == shallow
+        assert [(depth, c) for depth, c, *_ in snapshots] == [
+            (1, 5), (1, 8), (1, 6), (1, 7), (2, 5), (2, 8), (2, 9), (2, 10)]
+        assert all(held == size for _, _, held, size, _, _ in snapshots)
+        assert snapshots[3][4:] == (4, [5, 6, 7]) and snapshots[4][4:] == (3, [5])
+        deep = snapshots[4:]
+        assert 80 <= deep[-1][2] < unbounded == 109
+        first_full = next(i for i, snap in enumerate(deep) if snap[2] >= 80)
+        assert all(snap[2:] == deep[first_full][2:] for snap in deep[first_full:])

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from fptlib import (
+    BudgetError,
     FieldSpec,
     GFElem,
     HomForm,
@@ -20,7 +21,9 @@ from fptlib import (
     substitute_linear,
 )
 
+from fptlib import forms
 from test_forms import random_sparse, _random_invertible
+from diagonal_oracle import diagonal_nu
 
 
 class TestNu:
@@ -46,6 +49,98 @@ class TestNu:
             v3 = nu(f, 3)
             assert p * v1 <= v2 <= p * v1 + p - 1
             assert p * v2 <= v3 <= p * v2 + p - 1
+
+
+def bisection_nu(f, e, certs):
+    """nu as a bisection over fresh in_frobenius_power probes on [0,
+    ceil(min(n,d)/d * p^e) + 1), appending (N, e, member) per probe."""
+    p = f.field.p
+    lo, hi = 0, -(-min(f.n, f.d) * p ** e // f.d) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        member = in_frobenius_power(f, mid, e)
+        certs.append((mid, e, member))
+        lo, hi = (lo, mid) if member else (mid, hi)
+    return lo
+
+
+class TestWalk:
+    """nu reads one base-p digit per depth off one ladder walk."""
+
+    FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]
+
+    def test_matches_the_bisection(self, monkeypatch):
+        # nu and its trail against bisection_nu, on random forms with n =
+        # 2..4 at depths 1..3, under a smaller residue budget so that the
+        # test stays fast: wherever the bisection finishes the walk finishes
+        # too, and nu(e) has the digit bounds in nu(e - 1)
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 3000)
+        rng = random.Random(2105)
+        checked = 0
+        for pk in self.FIELDS:
+            K = FieldSpec(*pk)
+            p = K.p
+            for _ in range(12):
+                n, d = rng.randrange(2, 5), rng.randrange(2, 6)
+                f = random_sparse(K, n, d, rng, max_terms=5)
+                previous = 0
+                for e in (1, 2, 3):
+                    want = []
+                    try:
+                        v = bisection_nu(f, e, want)
+                    except BudgetError:
+                        break
+                    certs = []
+                    assert nu(f, e, certs) == v, (pk, f.as_text(), e)
+                    assert [tuple(c) for c in certs] == want
+                    assert p * previous <= v <= p * previous + p - 1
+                    previous, checked = v, checked + 1
+        assert checked >= 200
+
+    def test_every_certificate_holds(self):
+        # each entry of an interval's trail, re-checked on its own ladder
+        rng = random.Random(2106)
+        checked = 0
+        for pk in self.FIELDS:
+            K = FieldSpec(*pk)
+            for n in (2, 3, 4, 3, 4):
+                f = random_sparse(K, n, rng.randrange(3, 6), rng, max_terms=4)
+                res = fpt_general(f, 2)
+                if res.method != "bounded-fallback":
+                    continue
+                for N, e, member in res.certificates:
+                    assert in_frobenius_power(f, N, e) == member, (pk, f.as_text(), N)
+                    checked += 1
+        assert checked >= 60
+
+    def test_diagonal_forms_against_lucas(self, monkeypatch):
+        # c_1 x_1^d + ... + c_n x_n^d against the digit count of
+        # diagonal_oracle, which imports nothing from fptlib, at every
+        # depth the walk reaches under a residue budget of 20,000 terms
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 20000)
+        rng = random.Random(2107)
+        reached = 0
+        for p in (2, 3, 5, 7):
+            K = FieldSpec(p)
+            for _ in range(6):
+                n, d = rng.randrange(2, 5), rng.randrange(2, 7)
+                exps = [tuple(d * (i == j) for i in range(n)) for j in range(n)]
+                f = HomForm(K, n, d, {ex: rng.randrange(1, p) for ex in exps})
+                for e in range(1, 8):
+                    try:
+                        v = nu(f, e)
+                    except BudgetError:
+                        break
+                    assert v == diagonal_nu(n, d, p, e), (f.as_text(), e)
+                    reached += 1
+        assert reached >= 130
+
+    def test_lucas_closed_form(self):
+        # x1^3 + x2^3 + x3^3 over F_5 has nu(e) = 4 * 5^(e-1) - 1, so fpt 4/5
+        assert [diagonal_nu(3, 3, 5, e) for e in range(1, 21)] == [
+            4 * 5 ** (e - 1) - 1 for e in range(1, 21)]
+        f = parse_form("x1^3+x2^3+x3^3", FieldSpec(5), n=3)
+        assert [nu(f, e) for e in (1, 2, 3)] == [3, 19, 99]
 
 
 class TestBounds:

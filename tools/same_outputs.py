@@ -11,8 +11,11 @@ tree's ``fptbench/inputs.py`` and each operation is run by its
 (workload, seed) the child reports the sha256 of the ``to_dict()`` of each
 operation (or of the error it raised), and how many ``forms._mul`` calls and
 coefficient pairs (len(A) * len(B) per call) the pass made.  Both sides are
-printed, with the first operation whose output differs; the exit status is
-1 on any difference and 0 otherwise.  Uses the standard library only.
+printed with two verdicts: OUTPUTS, SAME or DIFFERENT, on the hashes and the
+number of raised errors, naming the first operation whose output differs;
+and PRODUCTS, the change in ``_mul`` calls and pairs in percent.  The exit
+status is 1 when the outputs differ and 0 otherwise: a change that saves
+products keeps its outputs.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -95,8 +98,12 @@ def run_side(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
     return json.loads(proc.stdout)
 
 
+def percent(before: int, after: int) -> str:
+    return f"{100 * (after - before) / before:+.1f}%" if before else "n/a"
+
+
 def compare(base: dict, change: dict) -> tuple[list[str], bool]:
-    """Report lines for both sides, and whether anything differs."""
+    """Report lines for both sides, and whether any output differs."""
     lines, differ = [], False
     for key in base:
         b, c = base[key], change[key]
@@ -104,15 +111,22 @@ def compare(base: dict, change: dict) -> tuple[list[str], bool]:
         for side, r in (("base", b), ("change", c)):
             lines.append(f"  {side:6}  sha256 {r['sha256'][:16]}  _mul calls {r['mul_calls']:,}"
                          f"  coefficient pairs {r['pairs']:,}  raised {r['failed']}")
-        diffs = [name for name in ("sha256", "mul_calls", "pairs", "failed") if b[name] != c[name]]
+        diffs = [name for name in ("sha256", "failed") if b[name] != c[name]]
         if diffs:
             differ = True
             first = next((i for i, (x, y) in enumerate(zip(b["op_sha256"], c["op_sha256"]))
                           if x != y), None)
             where = "" if first is None else f"; first differing operation #{first}"
-            lines.append(f"  DIFFERS: {', '.join(diffs)}{where}")
+            lines.append(f"  outputs DIFFER: {', '.join(diffs)}{where}")
         else:
-            lines.append("  same")
+            lines.append("  outputs same")
+        lines.append(f"  products: _mul calls {percent(b['mul_calls'], c['mul_calls'])},"
+                     f" coefficient pairs {percent(b['pairs'], c['pairs'])}")
+    calls, pairs = ([sum(r[name] for r in side.values()) for side in (base, change)]
+                    for name in ("mul_calls", "pairs"))
+    lines.append(f"PRODUCTS over all runs: _mul calls {calls[0]:,} -> {calls[1]:,}"
+                 f" ({percent(*calls)}), coefficient pairs"
+                 f" {pairs[0]:,} -> {pairs[1]:,} ({percent(*pairs)})")
     return lines, differ
 
 
@@ -135,7 +149,7 @@ def main(argv=None) -> int:
     lines, differ = compare(*results)
     print(f"base {args.base}, change {args.change}")
     print("\n".join(lines))
-    print("DIFFERENT" if differ else "SAME")
+    print("OUTPUTS", "DIFFERENT" if differ else "SAME")
     return 1 if differ else 0
 
 
