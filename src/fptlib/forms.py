@@ -38,10 +38,10 @@ _WINDOW_BUDGET terms after a row is refused, and so is a product of more
 than _WORK_BUDGET coefficient pairs, before it starts.  The text parser
 evaluates on the same packing with the same product.
 
-Each ladder step builds f^c, truncated at its depth, by squaring, and
-takes it from a table of truncated powers that belongs to the ladder and
-holds one depth.  The threshold engine's nu walks one ladder, finding one
-digit of nu per depth (ResidueLadder.rise_outside).
+Each ladder step builds f^c, truncated at its depth, by squaring.  The
+threshold engine's nu walks one ladder, finding one digit of nu per depth by
+bisection (ResidueLadder.rise_outside); the probes of one bisection share
+their squares, and between steps a ladder keeps only its residue.
 
 Packed exponents compare as integers in a lex order (x_n most significant),
 and a lex order is a monomial order, so the perfect-power check takes m-th
@@ -343,8 +343,8 @@ class ResidueLadder:
     for every depth the ladder reaches, and at least deg f.  With
     ``bounded=False`` nothing is truncated and G must exceed deg f^N.
 
-    A ladder only rises, so its power table (``power``) holds one depth
-    offset ``add``; an unbounded ladder has add == 0 at every depth.
+    Each step powers f truncated at the new depth (``_window``) afresh; only
+    the probes of one ``rise_outside`` share their squares.
     """
 
     def __init__(self, f: HomForm, depth: int, guard: int, bounded: bool = True):
@@ -355,34 +355,13 @@ class ResidueLadder:
         self.mask = (1 << s - 1) * self.ones if bounded else 0
         self.frob = F.frobi if F.k > 1 else None
         self.f = {_pack(e, s): c for e, c in f.terms.items()}
-        self.add = None             # the depth offset of the power table
         self.terms = {0: 1}
 
-    def power(self, c: int) -> dict:
-        """f^c (c >= 1) truncated at the current depth, from the power table:
-        the squares f, f^2, f^4, ... truncated there and every other f^c
-        built from them, ``held`` terms in all; nothing more is stored once
-        that reaches _WINDOW_BUDGET.  A stored square is the dict _pow would
-        compute again, in the same insertion order."""
-        mask, F = self.mask, self.field
-        add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if mask else 0
-        if add != self.add:
-            self.add = add
-            self.squares = [{w: v for w, v in self.f.items() if not (w + add) & mask}]
-            self.powers, self.held = {}, len(self.squares[0])
-        fc = self.powers.get(c)
-        if fc is None:
-            squares = self.squares
-            if self.held >= _WINDOW_BUDGET:
-                return _pow(squares[0], c, add, mask, F, squares[:])
-            known = len(squares)
-            fc = _pow(squares[0], c, add, mask, F, squares)
-            for t in squares[known:]:
-                self.held += len(t)
-            if c & c - 1:           # a power of two is one of the squares
-                self.powers[c] = fc
-                self.held += len(fc)
-        return fc
+    def _window(self) -> tuple[int, dict]:
+        """The offset ``add`` that _mul truncates with at the current depth,
+        and f truncated there."""
+        add = ((1 << self.s - 1) - self.p ** self.depth) * self.ones if self.mask else 0
+        return add, {w: v for w, v in self.f.items() if not (w + add) & self.mask}
 
     def rise(self, c: int) -> None:
         """One ladder step: raise to the p-th power, then multiply by f^c."""
@@ -393,8 +372,9 @@ class ResidueLadder:
             self.terms = {w * p: frob(v) for w, v in self.terms.items()}
         self.depth += 1
         if c and self.terms:
-            fc = self.power(c)
-            self.terms = _mul(self.terms, fc, self.add, self.mask, self.field)
+            add, window = self._window()
+            mask, F = self.mask, self.field
+            self.terms = _mul(self.terms, _pow(window, c, add, mask, F), add, mask, F)
 
     def rise_outside(self) -> int:
         """One ladder step with the largest digit c that leaves f^(pN + c)
@@ -405,14 +385,18 @@ class ResidueLadder:
         monomials to distinct ones inside the next window, and f^(p(N+1))
         = (f^(N+1))^p is inside.  So c is bisected on [0, p), each probe
         the p-th power residue times f^c, and the largest nonzero probe
-        becomes the residue.
+        becomes the residue.  The probes share the squares f, f^2, f^4, ...
+        of the window; once they hold _WINDOW_BUDGET terms, a probe's new
+        squares are not kept.
         """
         self.rise(0)
-        base, lo, hi = self.terms, 0, self.p
+        add, window = self._window()
+        mask, F = self.mask, self.field
+        base, lo, hi, squares = self.terms, 0, self.p, [window]
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            fc = self.power(mid)
-            probe = _mul(base, fc, self.add, self.mask, self.field)
+            kept = squares if sum(map(len, squares)) < _WINDOW_BUDGET else squares[:]
+            probe = _mul(base, _pow(window, mid, add, mask, F, kept), add, mask, F)
             if probe:
                 lo, self.terms = mid, probe
             else:

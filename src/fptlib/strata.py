@@ -126,10 +126,13 @@ class CandidateReport(namedtuple("CandidateReport", "d p entries generic_value g
 def candidates(d: int, p: int, l_cap: int = 12) -> CandidateReport:
     """All candidate truncation places with their condition flags, plus the
     generic (maximal) value.  When gcd(p, b) = 1 the range of places is the
-    order bound from condition (I); otherwise ``l_cap`` bounds the listing."""
+    order bound from condition (I); otherwise ``l_cap``, at least 1, bounds
+    the listing."""
     if d < 2:
         raise ValidationError("need d >= 2")
     require_prime(p)
+    if l_cap < 1:
+        raise ValidationError(f"need l_cap >= 1, got {l_cap}")
     lam = Fraction(2, d)
     b = lam.denominator
     bound = mult_order(p, b) if b % p else l_cap
@@ -645,6 +648,8 @@ def sharp_witness(d: int, p: int, e: int, k_max: int = 2, trials: int = 600,
     raises if nothing is found through F_{p^k_max}.
     """
     require_prime(p)
+    if k_max < 1:
+        raise ValidationError(f"need k_max >= 1, got {k_max}")
     B = p ** e
     if not B + 1 <= d <= 2 * B:
         raise ValidationError(f"need p^e + 1 <= d <= 2 p^e, got d={d}, p^e={B}")

@@ -155,6 +155,14 @@ class TestCandidates:
         assert code == 0
         assert out.splitlines()[0].startswith("L,value,cond_I")
 
+    def test_l_cap_below_one(self, capsys):
+        # 2/4 over F_2 lists places up to the cap, so a cap below 1 would
+        # print an empty table; it is refused instead
+        for cap in ("0", "-3"):
+            code, out, err = run(capsys, "candidates", "--d", "4", "--p", "2", "--l-cap", cap)
+            assert code == 2 and not out
+            assert err.startswith("error: need l_cap >= 1")
+
 
 class TestCensus:
     def test_small_census_text(self, capsys):

@@ -717,40 +717,28 @@ class TestParser:
 
 
 class TestPowerTable:
-    """Power tables (ResidueLadder.power): each ladder keeps its own, for one
-    depth at a time; nu walks one ladder; and neither changes a result, a
-    residue's insertion order or a caller's form."""
+    """Powers of f on ladders: each step powers f truncated at its depth,
+    nu walks one ladder whose bisections share their squares, and neither
+    changes a result, a residue's insertion order or a caller's form."""
 
-    # (p, n, d, depths); for (2, 2, 3) the deepest bounded level of nu's
-    # ladder, p^e = 2^(s-1), has add == 0, the key of an unbounded ladder
+    # (p, n, d, depths)
     CASES = [(2, 2, 3, (1, 2, 3)), (2, 3, 3, (2, 3)), (2, 4, 2, (1, 2)),
              (3, 2, 4, (1, 2)), (3, 3, 3, (1, 2)), (3, 4, 2, (1, 2)),
              (5, 2, 3, (1, 2)), (5, 3, 2, (1, 2)), (7, 2, 3, (1, 2)),
              (7, 3, 3, (1,)), (7, 4, 2, (1,))]
 
-    @staticmethod
-    def capture(monkeypatch):
-        """Patch ResidueLadder.power to record each call's ladder, add and
-        mask, in call order."""
-        seen, power = [], forms.ResidueLadder.power
-
-        def recording(ladder, c):
-            fc = power(ladder, c)
-            seen.append((ladder, ladder.add, ladder.mask))
-            return fc
-
-        monkeypatch.setattr(forms.ResidueLadder, "power", recording)
-        return seen
-
-    @staticmethod
-    def size(ladder):
-        return sum(len(t) for t in (*ladder.squares, *ladder.powers.values()))
-
     def test_nu_and_every_entry_point_match_naive_residues(self, monkeypatch):
         # nu, and each ordinary entry point on its own ladder, over several
         # depths and bounded and unbounded ladders, in shuffled order; every
-        # result is checked against full expansion by naive products
-        seen = self.capture(monkeypatch)
+        # result is checked against full expansion by naive products, and
+        # each nu call builds exactly one ladder
+        ladders, init = [], forms.ResidueLadder.__init__
+
+        def recording_init(ladder, *args, **kwargs):
+            init(ladder, *args, **kwargs)
+            ladders.append(ladder)
+
+        monkeypatch.setattr(forms.ResidueLadder, "__init__", recording_init)
         rng = random.Random(41)
         for p, n, d, depths in self.CASES:
             K = FieldSpec(p)
@@ -771,15 +759,13 @@ class TestPowerTable:
                 calls += [("coeff", N, rng.randrange(d * N + 1)) for N in (1, 2, 3, 4)]
                 calls += [("power", r, None) for r in (2, 3)]
             rng.shuffle(calls)
-            zero_add = False
             for kind, N, e in calls:
                 case = (p, n, d, f.as_text(), kind, N, e)
-                del seen[:]
+                del ladders[:]
                 if kind == "nu":
                     want = max(M for M in range(his[e] + 1) if residue(M, e))
                     assert nu(f, e) == want, case
-                    assert len({id(ladder) for ladder, _, _ in seen}) == 1, case
-                    zero_add |= any(mask and not add for _, add, mask in seen)
+                    assert len(ladders) == 1, case
                 elif kind == "member":
                     assert in_frobenius_power(f, N, e) == (not residue(N, e)), case
                 elif kind == "residue":
@@ -790,8 +776,6 @@ class TestPowerTable:
                     assert coeff_of_power(f, N, j) == want, case
                 else:
                     assert _form_pow(f, N).terms == full[N], case
-            if p == 2 and n == 2:
-                assert zero_add
 
     def test_nu_makes_fewer_products_and_the_same_residues(self, monkeypatch):
         # a dense ternary cubic over F_7 at depth 2, as multivar_queries
@@ -837,8 +821,8 @@ class TestPowerTable:
         assert walked < calls[0]
 
     def test_lifetime(self, monkeypatch):
-        # a caller's form never holds a table, so pickling it is unchanged
-        # by every entry point, and by one that runs out of budget
+        # a caller's form keeps nothing of a ladder, so pickling it is
+        # unchanged by every entry point, and by one that runs out of budget
         f = random_form(FieldSpec(7), 3, 3, random.Random(5))
         g = random_form(FieldSpec(5), 2, 4, random.Random(5))
         before = pickle.dumps(f), pickle.dumps(g)
@@ -853,34 +837,46 @@ class TestPowerTable:
         assert pickle.dumps(f) == before[0]
 
     def test_table_stops_at_the_budget(self, monkeypatch):
-        # nu's walk of this binary cubic over F_11 probes the digits 5, 8,
-        # 6, 7 at depth 1 and 5, 8, 9, 10 at depth 2; no product of the walk
-        # has more than 26 terms, and the depth-2 table would hold 109.  At a
-        # budget of 80 it stops short of that and takes no new entry once
-        # full, and nu's result and trail stay the same.  Throughout, ``held`` counts the
-        # terms the table holds, and a new depth starts a new table from f
-        f = random_form(FieldSpec(11), 2, 3, random.Random(3))
-        seen = self.capture(monkeypatch)
-        certs = []
-        want = nu(f, 2, certs)
-        unbounded = self.size(seen[-1][0])
-        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 80)
-        snapshots, power = [], forms.ResidueLadder.power
+        # nu's walk of this binary cubic over F_17 probes the digits 8, 12,
+        # 10, 11 at depth 1 and 8, 12, 14, 15, 16 at depth 2.  The probes of
+        # one depth share one list of the squares f, f^2, f^4, ... of f
+        # truncated there: at depth 2 the probe of 8 leaves 4 + 7 + 13 + 24
+        # = 48 terms in it, and the probe of 16 adds f^16's 47.  No product
+        # of the walk has more than 47 terms, so at a budget of 48 the walk
+        # runs through, but every later probe of depth 2 works on a copy and
+        # the stored squares stop at 48 terms; nu's result and trail stay
+        # the same
+        f = random_form(FieldSpec(17), 2, 3, random.Random(4))
+        pow_ = forms._pow
 
-        def snapshot(ladder, c):
-            fc = power(ladder, c)
-            snapshots.append((ladder.depth, c, ladder.held, self.size(ladder),
-                              len(ladder.squares), sorted(ladder.powers)))
-            return fc
+        def walk(budget):
+            monkeypatch.setattr(forms, "_WINDOW_BUDGET", budget)
+            calls, certs = [], []
 
-        monkeypatch.setattr(forms.ResidueLadder, "power", snapshot)
-        again = []
-        assert nu(f, 2, again) == want and again == certs
-        assert [(depth, c) for depth, c, *_ in snapshots] == [
-            (1, 5), (1, 8), (1, 6), (1, 7), (2, 5), (2, 8), (2, 9), (2, 10)]
-        assert all(held == size for _, _, held, size, _, _ in snapshots)
-        assert snapshots[3][4:] == (4, [5, 6, 7]) and snapshots[4][4:] == (3, [5])
-        deep = snapshots[4:]
-        assert 80 <= deep[-1][2] < unbounded == 109
-        first_full = next(i for i, snap in enumerate(deep) if snap[2] >= 80)
-        assert all(snap[2:] == deep[first_full][2:] for snap in deep[first_full:])
+            def recording(A, c, add, mask, F, squares):
+                fresh = len(squares) == 1
+                fc = pow_(A, c, add, mask, F, squares)
+                calls.append((c, fresh, squares, [len(t) for t in squares]))
+                return fc
+
+            monkeypatch.setattr(forms, "_pow", recording)
+            v = nu(f, 2, certs)
+            monkeypatch.setattr(forms, "_pow", pow_)
+            return v, certs, calls
+
+        want, certs, calls = walk(forms._WINDOW_BUDGET)
+        assert [(c, fresh) for c, fresh, _, _ in calls] == [
+            (8, True), (12, False), (10, False), (11, False),
+            (8, True), (12, False), (14, False), (15, False), (16, False)]
+        assert all(sq is calls[0][2] for _, _, sq, _ in calls[:4])
+        assert all(sq is calls[4][2] for _, _, sq, _ in calls[4:])
+        assert calls[3][3] == [4, 7, 13, 8]
+        assert calls[7][3] == [4, 7, 13, 24] and calls[8][3] == [4, 7, 13, 24, 47]
+        got, again, low = walk(48)
+        assert got == want and again == certs
+        assert [(c, sizes) for c, _, _, sizes in low] == [
+            (c, sizes) for c, _, _, sizes in calls]
+        assert all(sq is low[0][2] for _, _, sq, _ in low[:4])
+        stored = low[4][2]
+        assert all(sq is not stored for _, _, sq, _ in low[5:])
+        assert [len(t) for t in stored] == [4, 7, 13, 24]

@@ -24,6 +24,7 @@ from fptlib import (
 from fptlib import forms
 from test_forms import random_sparse, _random_invertible
 from diagonal_oracle import diagonal_nu
+from hasse_oracle import hesse_hasse
 
 
 class TestNu:
@@ -141,6 +142,26 @@ class TestWalk:
             4 * 5 ** (e - 1) - 1 for e in range(1, 21)]
         f = parse_form("x1^3+x2^3+x3^3", FieldSpec(5), n=3)
         assert [nu(f, e) for e in (1, 2, 3)] == [3, 19, 99]
+
+    def test_smooth_hesse_cubics_against_hasse(self):
+        # x1^3 + x2^3 + x3^3 + t x1 x2 x3 with t^3 != -27 is smooth, and
+        # hasse_oracle, which imports nothing from fptlib, reads whether it
+        # is ordinary (nu(e) = p^e - 1) or supersingular (p^(e-1)(p-1) - 1)
+        checked, kinds = 0, set()
+        for p in (5, 7, 11, 13):
+            K = FieldSpec(p)
+            for t in range(p):
+                if (t ** 3 + 27) % p == 0:
+                    continue
+                text = "x1^3+x2^3+x3^3" + (f"+{t}*x1*x2*x3" if t else "")
+                f = parse_form(text, K, n=3)
+                ordinary = hesse_hasse(p, t) != 0
+                kinds.add(ordinary)
+                for e in (1, 2):
+                    want = p ** e - 1 if ordinary else p ** (e - 1) * (p - 1) - 1
+                    assert nu(f, e) == want, (p, t, e)
+                    checked += 1
+        assert checked == 56 and kinds == {True, False}
 
 
 class TestBounds:

@@ -64,6 +64,13 @@ class TestCandidates:
         assert rep.admissible_values() == [Q(1, 4)]
         assert rep.generic_L is None and rep.generic_value == Q(1, 4)
 
+    def test_l_cap_below_one(self):
+        # an empty listing is refused, also where the order bound ignores
+        # the cap (gcd(p, b) = 1 for 2/5 over F_7)
+        for d, p, l_cap in [(4, 2, 0), (4, 2, -3), (5, 7, 0)]:
+            with pytest.raises(ValidationError, match="need l_cap >= 1"):
+                candidates(d, p, l_cap)
+
     def test_generic_value_is_top(self):
         for d in range(3, 13):
             for p in (2, 3, 5, 7, 11):
@@ -549,6 +556,12 @@ class TestLowerBounds:
     def test_sharp_witness_range_guard(self):
         with pytest.raises(ValidationError):
             sharp_witness(3, 3, 1)   # 3 < p^e + 1
+
+    def test_sharp_witness_k_max_below_one(self):
+        # through F_2^0 would search nothing, so it is refused up front
+        for k_max in (0, -1):
+            with pytest.raises(ValidationError, match="need k_max >= 1"):
+                sharp_witness(3, 2, 1, k_max=k_max)
 
 
 class TestCensusAgainstNaiveClassifier:

@@ -17,26 +17,14 @@ to ``--workdir``/pairs-<workload>.json.  Uses the standard library only.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-
-
-def export(rev: str, dest: Path) -> Path:
-    """The tree of ``rev`` extracted into ``dest``."""
-    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
-                         capture_output=True, check=True).stdout
-    dest.mkdir(parents=True, exist_ok=True)
-    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest)
-    return dest
+from same_outputs import export
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
