@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from .forms import parse_form
 from .fptengine import fpt_general
 from .genericfpt import generic_fpt
 from .gfpoly import FieldSpec
-from .strata import candidates, census, trinomial_witness_search
+from .strata import DEFAULT_BUDGET, candidates, census, trinomial_witness_search
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,7 +34,7 @@ def _emit(args, payload: dict, text: str, csv_rows: list[list[str]] | None = Non
     if args.format == "json":
         import json
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv" and csv_rows is not None:
+    elif args.format == "csv":
         import csv
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
@@ -54,16 +53,6 @@ def _ints(text: str, expected: str, count: int | None = None) -> list[int]:
     if vals is None or count not in (None, len(vals)):
         raise ValidationError(f"{expected}, got {text!r}")
     return vals
-
-
-def _workers(args) -> int:
-    """--workers, else $FPTLIB_WORKERS, else 1; at least 1."""
-    w = args.workers
-    if w is None:
-        w = _ints(os.environ.get("FPTLIB_WORKERS", "1"), "FPTLIB_WORKERS must be an integer", 1)[0]
-    if w < 1:
-        raise ValidationError(f"need at least 1 worker, got {w}")
-    return w
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -105,7 +94,7 @@ def cmd_candidates(args) -> int:
 
 def cmd_census(args) -> int:
     rep = census(args.d, args.p, args.k, reduced_only=args.reduced_only,
-                 e_cap=args.e_cap, budget=args.budget, workers=_workers(args))
+                 e_cap=args.e_cap, budget=args.budget)
     lines = [f"census d={args.d} over F_{args.p}^{args.k}: {rep.total} forms"]
     for v, rec in sorted(rep.records.items()):
         lines.append(f"  {v}: reduced={rec.count_reduced} other={rec.count_nonreduced}"
@@ -135,8 +124,9 @@ def cmd_verify_paper(args) -> int:
     """Check computed values for 3 <= d <= 8 against the reference tables."""
     if not 3 <= args.d <= 8:
         raise ValidationError("verify-paper supports degrees 3..8")
+    if args.budget < 0:
+        raise ValidationError(f"need budget >= 0, got {args.budget}")
     primes = _ints(args.primes, "--primes must be comma-separated integers")
-    workers = _workers(args)
     failures = []
     matrix = []
     for p in primes:
@@ -157,7 +147,7 @@ def cmd_verify_paper(args) -> int:
         observed = None
         if total <= args.budget:
             crep = census(args.d, p, 1, reduced_only=True, e_cap=2,
-                          budget=args.budget, workers=workers)
+                          budget=args.budget)
             observed = crep.reduced_values()
             unsound = observed - expected
             if unsound:
@@ -191,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    def common(sp, *formats):
+        sp.add_argument("--format", choices=["text", "json", *formats], default="text")
 
     sp = sub.add_parser("fpt", help="threshold of one polynomial")
     sp.add_argument("--p", type=int, required=True)
@@ -219,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--l-cap", dest="l_cap", type=int, default=12)
-    common(sp)
+    common(sp, "csv")
     sp.set_defaults(func=cmd_candidates)
 
     sp = sub.add_parser("census", help="enumerate a coefficient space by threshold")
@@ -228,10 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--reduced-only", action="store_true")
     sp.add_argument("--e-cap", dest="e_cap", type=int, default=2)
-    sp.add_argument("--budget", type=int, default=2_000_000)
-    sp.add_argument("--workers", type=int,
-                    help="threshold processes (default: $FPTLIB_WORKERS or 1)")
-    common(sp)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common(sp, "csv")
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("witness", help="search a trinomial family for a stratum witness")
@@ -248,8 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--primes", required=True, help="comma-separated primes")
     sp.add_argument("--budget", type=int, default=7_000_000)
-    sp.add_argument("--workers", type=int,
-                    help="threshold processes (default: $FPTLIB_WORKERS or 1)")
     common(sp)
     sp.set_defaults(func=cmd_verify_paper)
     return ap

@@ -13,21 +13,19 @@ below enumerate actual coefficient spaces and check observed values against
 the candidate list, raising an anomaly on any violation.  Every binary
 answer is an orbit invariant, so forms are counted by orbit under
 PGL_2(F_q) x| Gal(F_q/F_p), one squarefree test and one threshold per orbit.
-A census is one pass in index order: the orbit walk yields the classes, the
-thresholds come from ``map`` or, in order, from a worker pool, and the first
-class with a value is that value's witness.  The walk moves between census
-indices through one index map per generator, built block by block inside
-each census call and dropped with it: a step is one array lookup and a byte
-set in the visited map, with no coefficient list and no re-indexing.
+A census is one pass in index order: the orbit walk yields the classes, each
+gets its threshold in turn, and the first class with a value is that value's
+witness.  The walk moves between census indices through one index map per
+generator, built block by block inside each census call and dropped with it:
+a step is one array lookup and a byte set in the visited map, with no
+coefficient list and no re-indexing.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
 from math import comb, gcd
 from types import SimpleNamespace
 
@@ -379,10 +377,11 @@ def _classes(K: FieldSpec, d: int):
     """The census classes, one per orbit, in increasing order of their
     smallest index, as (index, form, weight, reduced).
 
-    Squarefreeness and every threshold fpt_binary_exact returns, exact or
-    interval, are invariant under linear coordinate changes and Galois
-    conjugation (see fptengine), so each orbit is one class, weighted by its
-    size.  An orbit is met first at its smallest index, which is the class's.
+    Squarefreeness and _exact_value's answer, a threshold or None where only
+    an interval is known, are invariant under linear coordinate changes and
+    Galois conjugation (see fptengine), so each orbit is one class, weighted
+    by its size.  An orbit is met first at its smallest index, which is the
+    class's.
     """
     maps = _orbit_maps(K, d)
     seen = bytearray(len(maps[0]))
@@ -390,15 +389,6 @@ def _classes(K: FieldSpec, d: int):
     while (g := seen.find(0, g)) >= 0:
         f = HomForm._of_coeffs(K, _coeffs_of_index(g, d, K.q))
         yield g, f, _mark(maps, g, seen), is_squarefree_binary(f)
-
-
-def _threshold(cls, reduced_only: bool):
-    """The class with its exact threshold, or None where fpt_binary_exact
-    gives an interval (not computed here) or for a non-reduced class of a
-    reduced-only census."""
-    if reduced_only and not cls[3]:
-        return cls, None
-    return cls, _exact_value(cls[1])
 
 
 def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 2,
@@ -409,15 +399,15 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
 
     Each orbit under PGL_2(F_q) x| Gal(F_q/F_p) is one class (see _classes):
     one squarefree test and one threshold, counted once for every form in
-    it.  One pass walks the orbits in index order; with ``workers`` > 1 a
-    fork pool computes the thresholds, in order, while the walk stays here.
-    Reduced values are checked against the admissible candidate set on the
-    fly; a violation raises AnomalyError.  A class is counted as unresolved
-    when fpt_binary_exact gives it only an interval, which the census never
-    computes: it asks for the exact answer alone, which does not depend on
-    ``e_cap``, so ``e_cap`` is only checked and recorded.  With
-    ``reduced_only`` non-reduced orbits get no threshold and are counted as
-    skipped.
+    it.  One pass walks the orbits in index order and asks _exact_value for
+    each threshold.  Reduced values are checked against the admissible
+    candidate set on the fly; a violation raises AnomalyError.  A class is
+    counted as unresolved when _exact_value answers None, as only an
+    interval is known, which the census never computes: the exact answer
+    does not depend on ``e_cap``, so ``e_cap`` is only checked and recorded.
+    With ``reduced_only`` non-reduced orbits get no threshold and are counted
+    as skipped.  ``workers`` must be 1: a census runs in one process, and the
+    keyword stays only because fptbench's census workload passes it.
 
     The walk holds 4 bytes per class for each generator's index map and 1
     for the visited map: 9 bytes per class over every prime field and 17
@@ -426,8 +416,10 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
     """
     if d < 2:
         raise ValidationError("census needs d >= 2")
-    if workers < 1:
-        raise ValidationError(f"need at least 1 worker, got {workers}")
+    if workers != 1:
+        raise ValidationError(f"a census runs in one process: need workers = 1, got {workers}")
+    if budget < 0:
+        raise ValidationError(f"need budget >= 0, got {budget}")
     if e_cap < 1:
         raise ValidationError(f"need e_cap >= 1, got {e_cap}")
     require_prime(p)
@@ -438,37 +430,31 @@ def census(d: int, p: int, k: int = 1, reduced_only: bool = False, e_cap: int = 
         raise BudgetError(f"enumeration needs {total} forms but budget is {budget}; "
                           f"rerun with budget >= {total}", required=total, budget=budget)
     admissible = frozenset(candidates(d, p).admissible_values())
-    threshold = partial(_threshold, reduced_only=reduced_only)
     records: dict[Fraction, ValueRecord] = {}
     unresolved = skipped = 0
-    if workers > 1:
-        import multiprocessing as mp   # not at the top: it adds ~12 ms to every import
-    with mp.get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
-        classes = _classes(K, d)
-        results = map(threshold, classes) if pool is None else \
-            pool.imap(threshold, classes, chunksize=16)
-        for (g, f, weight, reduced), v in results:
-            if reduced_only and not reduced:
-                skipped += weight
-                continue
-            if v is None:
-                unresolved += weight
-                continue
-            if reduced and v not in admissible:
-                raise AnomalyError(
-                    f"census d={d} p={p} k={k}: reduced form {f.as_text()} has "
-                    f"threshold {v} outside the admissible candidate set {sorted(admissible)}"
-                )
-            rec = records.get(v)
-            if rec is None:
-                # classes come in index order: the first with v is its witness
-                rec = records[v] = ValueRecord(witness_index=g,
-                                               witness_coeffs=tuple(f.coeff_list()),
-                                               witness_text=f.as_text())
-            if reduced:
-                rec.count_reduced += weight
-            else:
-                rec.count_nonreduced += weight
+    for g, f, weight, reduced in _classes(K, d):
+        if reduced_only and not reduced:
+            skipped += weight
+            continue
+        v = _exact_value(f)
+        if v is None:
+            unresolved += weight
+            continue
+        if reduced and v not in admissible:
+            raise AnomalyError(
+                f"census d={d} p={p} k={k}: reduced form {f.as_text()} has "
+                f"threshold {v} outside the admissible candidate set {sorted(admissible)}"
+            )
+        rec = records.get(v)
+        if rec is None:
+            # classes come in index order: the first with v is its witness
+            rec = records[v] = ValueRecord(witness_index=g,
+                                           witness_coeffs=tuple(f.coeff_list()),
+                                           witness_text=f.as_text())
+        if reduced:
+            rec.count_reduced += weight
+        else:
+            rec.count_nonreduced += weight
     return CensusReport(d, p, k, reduced_only, e_cap, total, records,
                         unresolved, skipped)
 

@@ -124,6 +124,19 @@ class TestFpt:
         assert code == 2 and not out
         assert err.startswith("error: need e_cap >= 1")
 
+    @pytest.mark.parametrize("argv", [["fpt", "--p", "7", "--poly", "x^5+y^5"],
+                                      ["generic", "--n", "2", "--d", "5", "--p", "7"],
+                                      ["witness", "--d", "6", "--p", "5", "--target", "1/5",
+                                       "--family", "0,0,3"],
+                                      ["verify-paper", "--d", "4", "--primes", "3"]],
+                             ids=["fpt", "generic", "witness", "verify-paper"])
+    def test_csv_refused_without_rows(self, capsys, argv):
+        # only census and candidates have rows to print as csv
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
 
 class TestGeneric:
     def test_values(self, capsys):
@@ -178,24 +191,27 @@ class TestCensus:
         assert "budget" in err
 
     def test_bad_workers_variable(self, capsys, monkeypatch):
-        # only the commands that take --workers read FPTLIB_WORKERS
+        # a census runs in one process: there is no --workers option, and
+        # FPTLIB_WORKERS is not read
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--d", "3", "--p", "3", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         monkeypatch.setenv("FPTLIB_WORKERS", "abc")
-        code, _, _ = run(capsys, "fpt", "--p", "7", "--poly", "x^5+y^5")
-        assert code == 0
-        code, _, err = run(capsys, "census", "--d", "3", "--p", "3")
-        assert code == 2
-        assert err.startswith("error: FPTLIB_WORKERS")
+        code, out, _ = run(capsys, "census", "--d", "3", "--p", "3")
+        assert code == 0 and out.startswith("census d=3 over F_3^1: 40 forms")
 
-    @pytest.mark.parametrize("argv,env", [(["--workers", "0"], None),
-                                          (["--workers", "-2"], None), ([], "0")],
-                             ids=["zero", "negative", "variable"])
-    def test_workers_below_one(self, capsys, monkeypatch, argv, env):
-        if env is not None:
-            monkeypatch.setenv("FPTLIB_WORKERS", env)
-        for cmd in (["census", "--d", "3", "--p", "3"], ["verify-paper", "--d", "3", "--primes", "3"]):
-            code, out, err = run(capsys, *cmd, *argv)
-            assert code == 2 and not out
-            assert err.startswith("error: need at least 1 worker")
+    def test_negative_budget_refused(self, capsys):
+        # bad input (exit 2), not a budget refusal (exit 3)
+        code, out, err = run(capsys, "census", "--d", "3", "--p", "3", "--budget", "-1")
+        assert code == 2 and not out
+        assert err.startswith("error: need budget >= 0")
+
+    def test_csv(self, capsys):
+        code, out, _ = run(capsys, "census", "--d", "3", "--p", "2", "--format", "csv")
+        assert code == 0
+        assert out == ("value,count_reduced,count_nonreduced,witness\r\n"
+                       "1/3,0,3,x^3\r\n1/2,6,6,x^3+y^3\r\n")
 
     @pytest.mark.parametrize("e_cap", ["0", "-3"])
     def test_e_cap_below_one_refused(self, capsys, e_cap):
@@ -264,7 +280,7 @@ class TestVerifyPaper:
         assert {row["p"]: row["status"] for row in payload["matrix"]} == \
             {2: "PASS", 3: "PASS"}
         _, out2, _ = run(capsys, "verify-paper", "--d", "6", "--primes", "2,3",
-                         "--format", "json", "--workers", "2")
+                         "--format", "json")
         assert out2 == out
 
     @pytest.mark.parametrize("primes", ["2,x", ""])
@@ -272,6 +288,13 @@ class TestVerifyPaper:
         code, _, err = run(capsys, "verify-paper", "--d", "5", "--primes", primes)
         assert code == 2
         assert err.startswith("error: --primes")
+
+    def test_negative_budget_refused(self, capsys):
+        # a negative budget used to skip every census and print PASS
+        code, out, err = run(capsys, "verify-paper", "--d", "5", "--primes", "2,7",
+                             "--budget", "-5")
+        assert code == 2 and not out
+        assert err.startswith("error: need budget >= 0")
 
     def test_rejects_out_of_range_degree(self, capsys):
         code, _, err = run(capsys, "verify-paper", "--d", "9", "--primes", "2")
@@ -292,7 +315,7 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "census", "--d", "4", "--p", "3",
                          "--format", "json")
         _, out2, _ = run(capsys, "census", "--d", "4", "--p", "3",
-                         "--format", "json", "--workers", "2")
+                         "--format", "json")
         assert out1 == out2
 
     def test_reports_carry_no_floats(self, capsys):

@@ -142,20 +142,16 @@ class TestCensus:
         assert rep.counts_consistent()
         assert rep.reduced_values() == {Q(1, 2)}
 
-    def test_workers_agree_with_serial(self):
-        serial = census(4, 3, 1)
-        parallel = census(4, 3, 1, workers=3)
-        assert serial.to_dict() == parallel.to_dict()
-
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2])
     def test_workers_below_one(self, workers):
-        with pytest.raises(ValidationError):
+        # a census runs in one process: 1 is the only worker count it takes
+        with pytest.raises(ValidationError, match="one process"):
             census(3, 3, 1, workers=workers)
 
-    def test_workers_agree_over_extension_field(self):
-        serial = census(3, 3, 2)
-        parallel = census(3, 3, 2, workers=2)
-        assert serial.to_dict() == parallel.to_dict()
+    def test_negative_budget_refused(self):
+        # bad input, not a budget refusal
+        with pytest.raises(ValidationError, match="need budget >= 0"):
+            census(3, 3, 1, budget=-1)
 
     def test_field_extension_census(self):
         rep = census(4, 2, 2)   # quartics over F_4
@@ -199,11 +195,9 @@ class TestCensus:
         assert rep.unresolved == 3072 and rep.records == {}
         assert rep.unresolved + rep.skipped_nonreduced == rep.total
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_index_walked_once(self, monkeypatch, workers):
-        # the orbit walk stays in this process whatever the number of
-        # workers, its orbits partition the indices, and the class weights
-        # add up to the whole space
+    def test_each_index_walked_once(self, monkeypatch):
+        # the orbits partition the indices, and the class weights add up to
+        # the whole space
         from fptlib import strata
 
         orbits = []
@@ -217,7 +211,7 @@ class TestCensus:
             return size
 
         monkeypatch.setattr(strata, "_mark", recorded)
-        rep = census(5, 5, reduced_only=True, workers=workers)
+        rep = census(5, 5, reduced_only=True)
         assert sum(map(len, orbits)) == rep.total
         assert set().union(*orbits) == set(range(rep.total))
         weights = sum(r.count_reduced + r.count_nonreduced for r in rep.records.values())
@@ -278,7 +272,6 @@ class TestOrbitCensus:
     def test_matches_per_form_census(self, d, p, k, reduced_only):
         want = _per_form_census(d, p, k, reduced_only).to_dict()
         assert census(d, p, k, reduced_only=reduced_only).to_dict() == want
-        assert census(d, p, k, reduced_only=reduced_only, workers=3).to_dict() == want
 
     @_SLOW
     @pytest.mark.parametrize("d,p,want", [(7, 5, {Q(1, 5), Q(7, 25)}),
@@ -416,18 +409,19 @@ class TestOrbitCensus:
     @pytest.mark.parametrize("d,p,k", [(4, 3, 1), (6, 3, 1), (5, 5, 1), (5, 7, 1), (9, 2, 1),
                                        (6, 5, 1), (4, 2, 2), (3, 3, 2)])
     def test_values_are_the_exact_answers(self, d, p, k):
-        # a census asks only for exact answers: every class of the full
-        # census gets fpt_binary_exact's value when that is exact, else None,
-        # and the classes with an interval make up the unresolved count
+        # a census asks only for exact answers: _exact_value gives every
+        # class of the full census fpt_binary_exact's value when that is
+        # exact, else None, and the classes with an interval make up the
+        # unresolved count
         from fptlib import HomForm
-        from fptlib.strata import _classes, _threshold
+        from fptlib.strata import _classes, _exact_value
 
         K = FieldSpec(p, k)
         unresolved = 0
-        for cls in _classes(K, d):
-            res = fpt_binary_exact(HomForm.from_coeffs(K, cls[1].coeff_list()), e_cap=2)
-            assert _threshold(cls, False)[1] == (res.value if res.is_exact else None)
-            unresolved += 0 if res.is_exact else cls[2]
+        for _, f, weight, _ in _classes(K, d):
+            res = fpt_binary_exact(HomForm.from_coeffs(K, f.coeff_list()), e_cap=2)
+            assert _exact_value(f) == (res.value if res.is_exact else None)
+            unresolved += 0 if res.is_exact else weight
         assert census(d, p, k).unresolved == unresolved
 
     @pytest.mark.parametrize("d,p", [(4, 3), (5, 3), (3, 7), (4, 7), (4, 5), (3, 13), (2, 17)])

@@ -1,6 +1,7 @@
 """Do two revisions give the same outputs and make the same products?
 
     python3 tools/same_outputs.py BASE CHANGE --seeds 0 1 5 113 --workdir /tmp/same
+    python3 tools/same_outputs.py BASE CHANGE --cli tools/cli_cases.txt --workdir /tmp/same
 
 Each revision is exported with ``git archive`` into its own directory under
 ``--workdir``, and a child interpreter runs one pass of every fptbench
@@ -15,7 +16,14 @@ printed with two verdicts: OUTPUTS, SAME or DIFFERENT, on the hashes and the
 number of raised errors, naming the first operation whose output differs;
 and PRODUCTS, the change in ``_mul`` calls and pairs in percent.  The exit
 status is 1 when the outputs differ and 0 otherwise: a change that saves
-products keeps its outputs.  Uses the standard library only.
+products keeps its outputs.
+
+With ``--cli FILE`` each line of FILE is one ``fptlib`` argument list, split
+as a shell would (``#`` starts a comment), run as ``python -m fptlib.cli`` in
+both trees with that tree's ``src`` on the path.  Each case is reported same
+or DIFFERENT on its stdout and exit code, then CLI SAME or CLI DIFFERENT, and
+any difference makes the exit status 1.  ``--seeds`` and ``--cli`` can be
+given together; at least one is needed.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -98,6 +107,28 @@ def run_side(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
     return json.loads(proc.stdout)
 
 
+def run_cli(tree: Path, cases: list[list[str]]) -> list[tuple[int, str]]:
+    """(exit code, sha256 of stdout) of each ``fptlib`` argument list in ``tree``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+    out = []
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "fptlib.cli", *argv],
+                              cwd=tree, env=env, capture_output=True)
+        out.append((proc.returncode, hashlib.sha256(proc.stdout).hexdigest()))
+    return out
+
+
+def compare_cli(cases: list[list[str]], base: list, change: list) -> tuple[list[str], bool]:
+    """One report line per case, and whether any stdout or exit code differs."""
+    lines, differ = [], False
+    for argv, (b_code, b_sha), (c_code, c_sha) in zip(cases, base, change):
+        same = (b_code, b_sha) == (c_code, c_sha)
+        differ |= not same
+        lines.append(f"  {'same' if same else 'DIFFERENT':9}  exit {b_code} -> {c_code}"
+                     f"  stdout {b_sha[:16]} -> {c_sha[:16]}  {shlex.join(argv)}")
+    return lines, differ
+
+
 def percent(before: int, after: int) -> str:
     return f"{100 * (after - before) / before:+.1f}%" if before else "n/a"
 
@@ -134,7 +165,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", nargs="?", help="parent revision")
     ap.add_argument("change", nargs="?", help="revision with the change")
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+")
+    ap.add_argument("--cli", type=Path, help="file of fptlib argument lists, one a line")
     ap.add_argument("--workload", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     ap.add_argument("--workdir", type=Path, help="where the exports go")
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
@@ -144,12 +176,24 @@ def main(argv=None) -> int:
         return 0
     if not (args.base and args.change and args.workdir):
         ap.error("BASE, CHANGE and --workdir are required")
-    results = [run_side(export(rev, args.workdir / side), args.workload, args.seeds)
-               for side, rev in (("base", args.base), ("change", args.change))]
-    lines, differ = compare(*results)
+    if not (args.seeds or args.cli):
+        ap.error("give --seeds, --cli or both")
+    trees = [export(rev, args.workdir / side)
+             for side, rev in (("base", args.base), ("change", args.change))]
     print(f"base {args.base}, change {args.change}")
-    print("\n".join(lines))
-    print("OUTPUTS", "DIFFERENT" if differ else "SAME")
+    differ = False
+    if args.seeds:
+        lines, differ = compare(*(run_side(t, args.workload, args.seeds) for t in trees))
+        print("\n".join(lines))
+        print("OUTPUTS", "DIFFERENT" if differ else "SAME")
+    if args.cli:
+        cases = [argv for line in args.cli.read_text().splitlines()
+                 if (argv := shlex.split(line, comments=True))]
+        lines, cli_differ = compare_cli(cases, *(run_cli(t, cases) for t in trees))
+        print(f"CLI cases from {args.cli}:")
+        print("\n".join(lines))
+        print("CLI", "DIFFERENT" if cli_differ else "SAME")
+        differ |= cli_differ
     return 1 if differ else 0
 
 
