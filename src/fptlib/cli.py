@@ -127,6 +127,9 @@ def cmd_verify_paper(args) -> int:
     if args.budget < 0:
         raise ValidationError(f"need budget >= 0, got {args.budget}")
     primes = _ints(args.primes, "--primes must be comma-separated integers")
+    repeated = next((p for i, p in enumerate(primes) if p in primes[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"--primes names {repeated} more than once")
     failures = []
     matrix = []
     for p in primes:

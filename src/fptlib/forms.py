@@ -35,8 +35,11 @@ reduces each coefficient pair mod p with plain integer arithmetic, no method
 call; over F_{p^k}, k > 1, each pair goes through FieldSpec.muli and addi.
 Either way a sum that vanishes leaves the dict at once, more than
 _WINDOW_BUDGET terms after a row is refused, and so is a product of more
-than _WORK_BUDGET coefficient pairs, before it starts.  The text parser
-evaluates on the same packing with the same product.
+than _WORK_BUDGET coefficient pairs, before it starts.
+
+The text parser splits its input once into the tokens of _TOKEN, so
+whitespace only separates tokens, and evaluates them by recursive descent on
+the same packing with the same product; gfpoly._terms_text prints forms back.
 
 Each ladder step builds f^c, truncated at its depth, by squaring.  The
 threshold engine's nu walks one ladder, finding one digit of nu per depth by
@@ -54,14 +57,16 @@ on the form for the threshold engine's dominant-factor search.
 from __future__ import annotations
 
 import random
+import re
 from math import comb, gcd
 
 from .errors import BudgetError, ParseError, ValidationError
-from .gfpoly import FieldSpec, GFElem, UPoly
+from .gfpoly import FieldSpec, GFElem, UPoly, _terms_text
 
 _WINDOW_BUDGET = 1 << 18    # most terms in a residue; x^3*y^2+x*y^4 over F_13 needs 185,649 at e=6
 _WORK_BUDGET = 1 << 24      # most coefficient pairs len(A)*len(B) in one product
 _PARSE_BITS = 32            # bits per variable in the parser's packing: degrees stay below 2^31
+_TOKEN = re.compile(r"[0-9]+|x[0-9]*|\S")  # the parser's tokens; whitespace only separates them
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +187,8 @@ class HomForm:
 
     def as_text(self) -> str:
         """Render in the CLI grammar: '+'-joined terms c*x1^a*...; x,y for n=2."""
-        names = ["x", "y"] if self.n == 2 else [f"x{i+1}" for i in range(self.n)]
-        parts = []
-        for exps in sorted(self.terms, reverse=True):
-            cs = self.field.elem_str(self.terms[exps])
-            need_paren = "+" in cs or "*" in cs or "^" in cs
-            factors = []
-            for name, a in zip(names, exps):
-                if a == 1:
-                    factors.append(name)
-                elif a > 1:
-                    factors.append(f"{name}^{a}")
-            if not factors:
-                parts.append(f"({cs})" if need_paren else cs)
-                continue
-            if cs == "1":
-                parts.append("*".join(factors))
-            else:
-                head = f"({cs})" if need_paren else cs
-                parts.append(head + "*" + "*".join(factors))
-        return "+".join(parts)
+        names = ("x", "y") if self.n == 2 else [f"x{i+1}" for i in range(self.n)]
+        return _terms_text(sorted(self.terms.items(), reverse=True), names, self.field.elem_str)
 
     def __str__(self):
         return self.as_text()
@@ -695,35 +682,29 @@ class _Parser:
     '^' powers.  Evaluates to a dict from packed exponents (_PARSE_BITS per
     variable) to field encodings, multiplying with the residue kernel's _mul.
 
-    Whitespace is skipped once, after each token (and before the first), so
-    ``pos`` always rests on a token or at the end and ``peek`` only reads."""
+    The text is split once into the tokens of _TOKEN, and ``toks`` ends in
+    a sentinel "", so ``peek`` only reads.  An error's offset is the start
+    (or end) of the token it names, found by scanning the text again."""
 
     def __init__(self, text: str, field: FieldSpec, n_hint: int | None):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text) + [""]
+        self.i = 0
         self.field = field
         self.n = n_hint
         self.max_var = 0
         self.guard = 0          # the guard bit of every variable seen so far
-        self.skip()
 
-    def error(self, msg: str):
-        raise ParseError(msg, self.pos)
+    def error(self, msg: str, end: bool = False):
+        spans = [m.span() for m in _TOKEN.finditer(self.text)] + [(len(self.text),) * 2]
+        raise ParseError(msg, spans[self.i][end])
 
-    def skip(self) -> None:
-        """Move past the whitespace that follows a token."""
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-
-    def take(self) -> None:
-        """Consume a one-character token."""
-        self.pos += 1
-        self.skip()
+    def take(self) -> str:
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def peek(self) -> str:
-        return self.text[self.pos:self.pos + 1]
+        return self.toks[self.i]
 
     def expr(self) -> dict:
         F = self.field
@@ -766,8 +747,9 @@ class _Parser:
         base = self.atom()
         while self.peek() == "^":
             self.take()
-            base = self._power(base, self.integer())
-            self.skip()
+            if not "0" <= self.peek()[:1] <= "9":
+                self.error("expected an integer")
+            base = self._power(base, int(self.take()))
         return base
 
     def _power(self, base: dict, k: int) -> dict:
@@ -794,55 +776,39 @@ class _Parser:
         return out
 
     def atom(self) -> dict:
-        ch = self.peek()
+        tok = self.peek()
         # provisional width when n is inferred; trimmed to the variables used
         w = self.n if self.n is not None else 12
-        if ch == "":
+        if tok == "":
             self.error("unexpected end of input")
-        if ch == "(":
+        if tok == "(":
             self.take()
             inner = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.take()
             return inner
-        if ch.isdigit():
-            c = self.integer() % self.field.p
-            self.skip()
+        if "0" <= tok[0] <= "9":
+            c = int(self.take()) % self.field.p
             return {0: c} if c else {}
-        if ch == "t":
-            self.pos += 1
+        if tok == "t":
             if self.field.k == 1:
-                self.error("generator t is undefined over a prime field")
-            self.skip()
+                self.error("generator t is undefined over a prime field", True)
+            self.take()
             return {0: self.field.gen().enc}
-        if ch in ("x", "y"):
-            self.pos += 1
-            idx = 0
-            if ch == "y":
-                idx = 1
-            elif self.pos < len(self.text) and self.text[self.pos].isdigit():
-                idx = self.integer() - 1
-                if idx < 0:
-                    self.error("variable indices start at x1")
+        if tok[0] == "x" or tok == "y":
+            idx = 1 if tok == "y" else int(tok[1:] or 1) - 1
+            if idx < 0:
+                self.error("variable indices start at x1", True)
             self.max_var = max(self.max_var, idx + 1)
             if idx >= w:
                 if self.n is None:
-                    self.error(f"more than {w} variables need an explicit n")
-                self.error(f"variable index {idx + 1} exceeds n={w}")
+                    self.error(f"more than {w} variables need an explicit n", True)
+                self.error(f"variable index {idx + 1} exceeds n={w}", True)
             self.guard |= 1 << _PARSE_BITS * (idx + 1) - 1
-            self.skip()
+            self.take()
             return {1 << _PARSE_BITS * idx: 1}
-        self.error(f"unexpected character {ch!r}")
-
-    def integer(self) -> int:
-        """The digits at ``pos``; the caller skips the whitespace after them."""
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        self.error(f"unexpected character {tok!r}")
 
 
 def parse_form(text: str, field: FieldSpec, n: int | None = None) -> HomForm:
@@ -853,6 +819,8 @@ def parse_form(text: str, field: FieldSpec, n: int | None = None) -> HomForm:
     The result must be homogeneous and nonzero.  An exponent of 2^31 or more
     raises BudgetError.
     """
+    if n is not None and n < 1:
+        raise ValidationError(f"need n >= 1 variables, got {n}")
     ps = _Parser(text, field, n)
     packed = ps.expr()
     if ps.peek() != "":

@@ -179,6 +179,25 @@ def _smallest_modulus(Fp: "FieldSpec", k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _terms_text(items, names, cstr) -> str:
+    """The '+'-joined terms c*v^a*... of (exponent tuple, coefficient)
+    ``items`` in the variables ``names``, each coefficient printed by
+    ``cstr``: a 1 is dropped before a variable, one printed with '+', '*'
+    or '^' is parenthesized, and no terms print as 0.  Field elements (in
+    t), UPoly (in u) and forms (HomForm.as_text) all print through it."""
+    parts = []
+    for exps, c in items:
+        cs = cstr(c)
+        if "+" in cs or "*" in cs or "^" in cs:
+            cs = f"({cs})"
+        term = [] if cs == "1" else [cs]
+        for v, a in zip(names, exps):
+            if a:
+                term.append(v if a == 1 else f"{v}^{a}")
+        parts.append("*".join(term) or cs)
+    return "+".join(parts) or "0"
+
+
 # ---------------------------------------------------------------------------
 # field of q = p^k elements
 # ---------------------------------------------------------------------------
@@ -390,19 +409,8 @@ class FieldSpec:
     def elem_str(self, enc: int) -> str:
         if self.k == 1:
             return str(enc)
-        cs = self.coeffs_of(enc)
-        parts = []
-        for i in range(self.k - 1, -1, -1):
-            c = cs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("t" if c == 1 else f"{c}*t")
-            else:
-                parts.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        return "+".join(parts) if parts else "0"
+        return _terms_text([((i,), c) for i, c in enumerate(self.coeffs_of(enc)) if c][::-1],
+                           ("t",), str)
 
     # -- embeddings -------------------------------------------------------------
     def embedding_from(self, src: "FieldSpec"):
@@ -575,23 +583,8 @@ class UPoly:
         return hash((self.coeffs, self.field.p, self.field.k))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        F = self.field
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if not c:
-                continue
-            cs = F.elem_str(c)
-            if F.k > 1 and ("+" in cs or "*" in cs or "^" in cs):
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = "u" if i == 1 else f"u^{i}"
-                parts.append(head if cs == "1" else f"{cs}*{head}")
-        return "+".join(parts)
+        return _terms_text([((i,), c) for i, c in enumerate(self.coeffs) if c][::-1],
+                           ("u",), self.field.elem_str)
 
     __repr__ = __str__
 

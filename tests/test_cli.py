@@ -60,6 +60,17 @@ class TestFpt:
         assert code == 3 and out == ""
         assert "2^31" in err
 
+    @pytest.mark.parametrize("poly,offset", [("x^²", 2), ("x²", 1), ("x1²", 2), ("x^٣*y", 2)])
+    def test_non_ascii_digits_are_bad_input(self, capsys, poly, offset):
+        # only ASCII 0-9 are digits: "x^٣*y" is not read as x^3*y
+        code, out, err = run(capsys, "fpt", "--p", "5", "--poly", poly)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: parse error at offset {offset}: ")
+
+    def test_n_below_one_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "fpt", "--p", "5", "--n", "0", "--poly", "x^2")
+        assert (code, out, err) == (2, "", "error: need n >= 1 variables, got 0\n")
+
     def test_huge_prime_degree(self, capsys):
         # the perfect-power check tries only the divisors of d = 2^31 - 1
         code, out, _ = run(capsys, "fpt", "--p", "5", "--n", "3",
@@ -288,6 +299,13 @@ class TestVerifyPaper:
         code, _, err = run(capsys, "verify-paper", "--d", "5", "--primes", primes)
         assert code == 2
         assert err.startswith("error: --primes")
+
+    @pytest.mark.parametrize("primes,repeated", [("3,3", 3), ("2,5,7,5,2", 5)])
+    def test_repeated_prime_refused(self, capsys, primes, repeated):
+        # each prime is censused once; a repeat is bad input, not a second row
+        code, out, err = run(capsys, "verify-paper", "--d", "4", "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err == f"error: --primes names {repeated} more than once\n"
 
     def test_negative_budget_refused(self, capsys):
         # a negative budget used to skip every census and print PASS

@@ -716,6 +716,105 @@ class TestParser:
         assert parse_form("2x y", K) == parse_form("2*x*y", K)
 
 
+class TestTextFormat:
+    """The text format pinned byte for byte: the message and offset of every
+    kind of malformed input, and the renders of field elements, univariate
+    polynomials and forms."""
+
+    # (text, field, n, str(ParseError))
+    MALFORMED = [
+        ("", (5, 1), None, "offset 0: unexpected end of input"),
+        ("x+", (5, 1), None, "offset 2: unexpected end of input"),
+        ("  x ^ 2 +  ", (5, 1), None, "offset 11: unexpected end of input"),
+        ("  ", (5, 1), None, "offset 2: unexpected end of input"),
+        ("(x", (5, 1), None, "offset 2: expected ')'"),
+        ("x)", (5, 1), None, "offset 1: trailing input"),
+        ("x@", (5, 1), None, "offset 1: trailing input"),
+        ("x^2 + y ) ", (5, 1), None, "offset 8: trailing input"),
+        ("x^2-\ny^2 )", (5, 1), None, "offset 9: trailing input"),
+        ("x^", (5, 1), None, "offset 2: expected an integer"),
+        ("x ^\t", (5, 1), None, "offset 4: expected an integer"),
+        ("x^-1", (5, 1), None, "offset 2: expected an integer"),
+        ("(x+y)^2^", (5, 1), None, "offset 8: expected an integer"),
+        ("x*+y", (5, 1), None, "offset 2: unexpected character '+'"),
+        ("x y z", (5, 1), None, "offset 4: unexpected character 'z'"),
+        ("x0", (5, 1), None, "offset 2: variable indices start at x1"),
+        ("x 2*x00", (5, 1), None, "offset 7: variable indices start at x1"),
+        ("x13", (5, 1), None, "offset 3: more than 12 variables need an explicit n"),
+        ("x3", (5, 1), 2, "offset 2: variable index 3 exceeds n=2"),
+        ("y", (5, 1), 1, "offset 1: variable index 2 exceeds n=1"),
+        ("t*x", (5, 1), None, "offset 1: generator t is undefined over a prime field"),
+        (" t *x", (5, 1), None, "offset 2: generator t is undefined over a prime field"),
+        ("x^2+y^3", (5, 1), None, "offset 0: polynomial is not homogeneous (degrees [2, 3])"),
+        ("5*x^2", (5, 1), None, "offset 0: polynomial is zero"),
+        ("x*y-x*y", (5, 1), None, "offset 0: polynomial is zero"),
+        ("3", (5, 1), None, "offset 0: constant polynomials are not forms"),
+        ("x^0", (5, 1), None, "offset 0: constant polynomials are not forms"),
+        ("(t+1)*x+s", (3, 2), None, "offset 8: unexpected character 's'"),
+        ("x+t^", (2, 3), 3, "offset 4: expected an integer"),
+    ]
+
+    @pytest.mark.parametrize("text,pk,n,message", MALFORMED)
+    def test_malformed_input_message_and_offset(self, text, pk, n, message):
+        with pytest.raises(ParseError) as err:
+            parse_form(text, FieldSpec(*pk), n=n)
+        assert str(err.value) == "parse error at " + message
+        assert message.startswith(f"offset {err.value.offset}:")
+
+    @pytest.mark.parametrize("text,message", [
+        ("x^²", "offset 2: expected an integer"),
+        ("x^٣*y", "offset 2: expected an integer"),
+        ("x²", "offset 1: unexpected character '²'"),
+        ("x1²", "offset 2: unexpected character '²'"),
+        ("x٣", "offset 1: unexpected character '٣'"),
+        ("٣*x", "offset 0: unexpected character '٣'"),
+    ])
+    def test_only_ascii_digits_are_digits(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_form(text, FieldSpec(5))
+        assert str(err.value) == "parse error at " + message
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_refused_before_parsing(self, n):
+        with pytest.raises(ValidationError) as err:
+            parse_form("x@", FieldSpec(5), n=n)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"need n >= 1 variables, got {n}"
+
+    def test_exponent_of_two_to_the_31_is_a_budget_error(self):
+        with pytest.raises(BudgetError) as err:
+            parse_form("(x^2*y)^1073741824", FieldSpec(5))
+        assert str(err.value) == "an exponent reaches 2^31; exponents must stay below it"
+
+    @pytest.mark.parametrize("pk,renders", [
+        ((3, 2), {0: "0", 1: "1", 2: "2", 3: "t", 5: "t+2", 6: "2*t", 7: "2*t+1"}),
+        ((2, 3), {0: "0", 1: "1", 2: "t", 4: "t^2", 6: "t^2+t", 7: "t^2+t+1"}),
+        ((3, 3), {21: "2*t^2+t", 9: "t^2", 26: "2*t^2+2*t+2"}),
+        ((7, 1), {0: "0", 1: "1", 6: "6"}),
+    ])
+    def test_field_element_renders(self, pk, renders):
+        K = FieldSpec(*pk)
+        assert {enc: K.elem_str(enc) for enc in renders} == renders
+        assert {enc: str(GFElem(K, enc)) for enc in renders} == renders
+
+    def test_univariate_renders(self):
+        K5, K9 = FieldSpec(5), FieldSpec(3, 2)
+        assert str(UPoly.zero(K9)) == "0" and str(UPoly(K5, [0, 0])) == "0"
+        assert str(UPoly(K5, [3, 0, 1, 2])) == "2*u^3+u^2+3"
+        assert str(UPoly(K5, [0, 1])) == "u" and str(UPoly(K5, [4])) == "4"
+        assert str(UPoly(K9, [7, 3, 6, 1])) == "u^3+(2*t)*u^2+t*u+(2*t+1)"
+        assert repr(UPoly(K9, [5, 2])) == "2*u+(t+2)"
+
+    def test_form_renders(self):
+        K9 = FieldSpec(3, 2)
+        f = HomForm(K9, 3, 2, {(0, 0, 2): 6, (0, 1, 1): 3, (2, 0, 0): 1, (1, 1, 0): 7})
+        assert f.as_text() == str(f) == "x1^2+(2*t+1)*x1*x2+t*x2*x3+(2*t)*x3^2"
+        assert repr(f) == "HomForm('x1^2+(2*t+1)*x1*x2+t*x2*x3+(2*t)*x3^2' over FieldSpec(p=3, k=2))"
+        g = HomForm(FieldSpec(7), 2, 3, {(0, 3): 6, (2, 1): 1, (3, 0): 2})
+        assert g.as_text() == "2*x^3+x^2*y+6*y^3"
+        assert HomForm(K9, 1, 4, {(4,): 5}).as_text() == "(t+2)*x1^4"
+
+
 class TestPowerTable:
     """Powers of f on ladders: each step powers f truncated at its depth,
     nu walks one ladder whose bisections share their squares, and neither

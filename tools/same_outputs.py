@@ -21,9 +21,10 @@ products keeps its outputs.
 With ``--cli FILE`` each line of FILE is one ``fptlib`` argument list, split
 as a shell would (``#`` starts a comment), run as ``python -m fptlib.cli`` in
 both trees with that tree's ``src`` on the path.  Each case is reported same
-or DIFFERENT on its stdout and exit code, then CLI SAME or CLI DIFFERENT, and
-any difference makes the exit status 1.  ``--seeds`` and ``--cli`` can be
-given together; at least one is needed.  Uses the standard library only.
+or DIFFERENT on its stdout, stderr and exit code, then CLI SAME or CLI
+DIFFERENT, and any difference makes the exit status 1.  ``--seeds`` and
+``--cli`` can be given together; at least one is needed.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -107,25 +108,28 @@ def run_side(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
     return json.loads(proc.stdout)
 
 
-def run_cli(tree: Path, cases: list[list[str]]) -> list[tuple[int, str]]:
-    """(exit code, sha256 of stdout) of each ``fptlib`` argument list in ``tree``."""
+def run_cli(tree: Path, cases: list[list[str]]) -> list[tuple[int, str, str]]:
+    """(exit code, sha256 of stdout, sha256 of stderr) of each ``fptlib``
+    argument list in ``tree``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
     out = []
     for argv in cases:
         proc = subprocess.run([sys.executable, "-m", "fptlib.cli", *argv],
                               cwd=tree, env=env, capture_output=True)
-        out.append((proc.returncode, hashlib.sha256(proc.stdout).hexdigest()))
+        out.append((proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+                    hashlib.sha256(proc.stderr).hexdigest()))
     return out
 
 
 def compare_cli(cases: list[list[str]], base: list, change: list) -> tuple[list[str], bool]:
-    """One report line per case, and whether any stdout or exit code differs."""
+    """One report line per case, and whether any stdout, stderr or exit code differs."""
     lines, differ = [], False
-    for argv, (b_code, b_sha), (c_code, c_sha) in zip(cases, base, change):
-        same = (b_code, b_sha) == (c_code, c_sha)
+    for argv, (b_code, b_out, b_err), (c_code, c_out, c_err) in zip(cases, base, change):
+        same = (b_code, b_out, b_err) == (c_code, c_out, c_err)
         differ |= not same
         lines.append(f"  {'same' if same else 'DIFFERENT':9}  exit {b_code} -> {c_code}"
-                     f"  stdout {b_sha[:16]} -> {c_sha[:16]}  {shlex.join(argv)}")
+                     f"  stdout {b_out[:12]} -> {c_out[:12]}  stderr {b_err[:12]} -> {c_err[:12]}"
+                     f"  {shlex.join(argv)}")
     return lines, differ
 
 
