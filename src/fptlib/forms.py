@@ -23,7 +23,9 @@ Frobenius to coefficients.  Truncation at every level is exact: a monomial
 with a component >= the level bound can only ever produce discarded
 monomials later.  Each step continues from the previous depth, so the
 threshold engine walks the truncations N_{L+1} = p N_L + c_L of 2/d on one
-ladder state.
+ladder state.  A step is decided by degree when d N > n (p^e - 1): every
+monomial of f^N has a component >= p^e, the bound behind fpt <= min(1, n/d),
+so the residue is empty and no product is made.
 
 Residues are dicts from packed exponents to coefficients: (a_1, ..., a_n)
 packs into sum a_i << s*i, with s bits per variable and a guard bit
@@ -331,7 +333,9 @@ class ResidueLadder:
     ``bounded=False`` nothing is truncated and G must exceed deg f^N.
 
     Each step powers f truncated at the new depth (``_window``) afresh; only
-    the probes of one ``rise_outside`` share their squares.
+    the probes of one ``rise_outside`` share their squares.  ``deg`` is d N,
+    the degree of f^N: a bounded step that takes it past n (p^depth - 1)
+    empties the residue without ``_window``, ``_pow`` or ``_mul``.
     """
 
     def __init__(self, f: HomForm, depth: int, guard: int, bounded: bool = True):
@@ -342,7 +346,7 @@ class ResidueLadder:
         self.mask = (1 << s - 1) * self.ones if bounded else 0
         self.frob = F.frobi if F.k > 1 else None
         self.f = {_pack(e, s): c for e, c in f.terms.items()}
-        self.terms = {0: 1}
+        self.terms, self.d, self.deg = {0: 1}, f.d, 0
 
     def _window(self) -> tuple[int, dict]:
         """The offset ``add`` that _mul truncates with at the current depth,
@@ -353,11 +357,14 @@ class ResidueLadder:
     def rise(self, c: int) -> None:
         """One ladder step: raise to the p-th power, then multiply by f^c."""
         p, frob = self.p, self.frob
-        if frob is None:
+        self.depth += 1
+        self.deg = p * self.deg + c * self.d
+        if self.mask and self.deg > self.n * (p ** self.depth - 1):
+            self.terms = {}
+        elif frob is None:
             self.terms = {w * p: v for w, v in self.terms.items()}
         else:
             self.terms = {w * p: frob(v) for w, v in self.terms.items()}
-        self.depth += 1
         if c and self.terms:
             add, window = self._window()
             mask, F = self.mask, self.field
@@ -388,6 +395,7 @@ class ResidueLadder:
                 lo, self.terms = mid, probe
             else:
                 hi = mid
+        self.deg += lo * self.d
         return lo
 
     def climb(self, N: int) -> "ResidueLadder":
@@ -676,6 +684,16 @@ def random_form(field: FieldSpec, n: int, d: int, rng: random.Random) -> HomForm
 # text grammar
 # ---------------------------------------------------------------------------
 
+def _digits_mod(run: str, p: int) -> int:
+    """int(run) % p for a run of decimal digits, 600 at a time: int() refuses
+    long runs."""
+    c = 0
+    for i in range(0, len(run), 600):
+        part = run[i:i + 600]
+        c = (c * pow(10, len(part), p) + int(part)) % p
+    return c
+
+
 class _Parser:
     """Recursive descent for '+/-'-joined products of integers, variables
     x, y, x1..xn, the field generator t, parenthesized subexpressions, and
@@ -749,7 +767,13 @@ class _Parser:
             self.take()
             if not "0" <= self.peek()[:1] <= "9":
                 self.error("expected an integer")
-            base = self._power(base, int(self.take()))
+            run = self.take()
+            # exponents stay below 2^31, and int() refuses long runs of digits:
+            # a run past 10 digits is read to its 11th significant one
+            k = int(run if len(run) <= 10 else run.lstrip("0")[:11] or 0)
+            if k >> _PARSE_BITS - 1:
+                self._too_big()
+            base = self._power(base, k)
         return base
 
     def _power(self, base: dict, k: int) -> dict:
@@ -789,7 +813,8 @@ class _Parser:
             self.take()
             return inner
         if "0" <= tok[0] <= "9":
-            c = int(self.take()) % self.field.p
+            self.take()
+            c = _digits_mod(tok, self.field.p) if len(tok) > 600 else int(tok) % self.field.p
             return {0: c} if c else {}
         if tok == "t":
             if self.field.k == 1:
@@ -797,14 +822,17 @@ class _Parser:
             self.take()
             return {0: self.field.gen().enc}
         if tok[0] == "x" or tok == "y":
-            idx = 1 if tok == "y" else int(tok[1:] or 1) - 1
+            # int() refuses long runs of digits: past 10, read to the 11th significant one
+            num = tok[1:] if len(tok) <= 11 else tok[1:].lstrip("0")[:11] or "0"
+            idx = 1 if tok == "y" else int(num or 1) - 1
             if idx < 0:
                 self.error("variable indices start at x1", True)
             self.max_var = max(self.max_var, idx + 1)
             if idx >= w:
                 if self.n is None:
                     self.error(f"more than {w} variables need an explicit n", True)
-                self.error(f"variable index {idx + 1} exceeds n={w}", True)
+                index = idx + 1 if len(tok) <= 11 else tok[1:].lstrip("0")
+                self.error(f"variable index {index} exceeds n={w}", True)
             self.guard |= 1 << _PARSE_BITS * (idx + 1) - 1
             self.take()
             return {1 << _PARSE_BITS * idx: 1}

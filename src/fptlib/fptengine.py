@@ -317,7 +317,8 @@ def _rules(f: HomForm) -> FptResult | tuple[HomForm, int]:
             return FptResult("exact", "truncation-candidate",
                              value=Fraction(NL, p ** L), L=L,
                              certificates=tuple(certs))
-    # no truncation passed: the classification leaves only 2/d.  f^(N_L + 1)
-    # needs no test: d(N_L + 1) > 2p^L puts it inside depth L by degree alone
+    # no truncation passed, so f^(N_L) is outside at L = ord_b(p), N_L = 2(p^L - 1)/d:
+    # flatness of Frobenius gives fpt >= N_L/(p^L - 1) = 2/d, and degree fpt <= 2/d.
+    # f^(N_L + 1) is inside depth L by degree alone: d(N_L + 1) > 2(p^L - 1)
     return FptResult("exact", "generic-two-over-d", value=lam,
                      certificates=tuple(certs))

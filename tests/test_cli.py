@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fptlib import FieldSpec, parse_form
 from fptlib.cli import main
 
 
@@ -66,6 +67,35 @@ class TestFpt:
         code, out, err = run(capsys, "fpt", "--p", "5", "--poly", poly)
         assert code == 2 and out == ""
         assert err.startswith(f"error: parse error at offset {offset}: ")
+
+    def test_long_numbers_read_as_short_ones(self, capsys):
+        # runs of 5,000 digits, past the 4,300 that int() converts: a
+        # coefficient is read mod p (5,000 ones are 4 mod 7), and leading
+        # zeros of an exponent or a variable index do not count
+        ones, zeros = "1" * 5000, "0" * 4999
+        for poly, n, short in [(f"{ones}*x^5+y^5", 2, "4*x^5+y^5"),
+                               (f"x^{zeros}2*y", 2, "x^2*y"),
+                               (f"x1^2*x2+x{zeros}3^3", 3, "x1^2*x2+x3^3")]:
+            want = run(capsys, "fpt", "--p", "7", "--n", str(n), "--poly", short)
+            assert want[0] == 0
+            assert run(capsys, "fpt", "--p", "7", "--n", str(n), "--poly", poly) == want
+        assert parse_form(f"{ones}*x", FieldSpec(7)).terms == {(1,): 4}
+
+    @pytest.mark.parametrize("base,tail", [("x", ""), ("2", "*x"), ("(x*y)", "")])
+    def test_long_exponent_is_over_budget(self, capsys, base, tail):
+        poly = f"{base}^1{'0' * 4999}{tail}"
+        code, out, err = run(capsys, "fpt", "--p", "5", "--poly", poly)
+        assert (code, out) == (3, "")
+        assert err == "error: an exponent reaches 2^31; exponents must stay below it\n"
+
+    @pytest.mark.parametrize("n", [None, "3"])
+    def test_long_variable_index_is_bad_input(self, capsys, n):
+        index = "9" * 5000
+        message = (f"variable index {index} exceeds n=3" if n else
+                   "more than 12 variables need an explicit n")
+        code, out, err = run(capsys, "fpt", "--p", "5", *(["--n", n] if n else []),
+                             "--poly", f"x1*x{index}")
+        assert (code, out, err) == (2, "", f"error: parse error at offset 5004: {message}\n")
 
     def test_n_below_one_is_bad_input(self, capsys):
         code, out, err = run(capsys, "fpt", "--p", "5", "--n", "0", "--poly", "x^2")

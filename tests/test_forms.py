@@ -709,6 +709,18 @@ class TestParser:
         assert parse_form("(x^2*y)^1073741823", K).d == 3 * 1073741823
         assert parse_form("(x*y)^2147483647", K).d == 2 * 2147483647
         assert parse_form("(x^3-x^3+y)^1000000000", K).d == 1000000000
+        # an exponent of 2^31 or more is refused on a constant base as well,
+        # and leading zeros do not count, past int()'s 4,300 digits too
+        zeros = "0" * 5000
+        assert parse_form("2^2147483647*x", K) == parse_form("3*x", K)
+        assert parse_form(f"(x*y)^{zeros}2147483647", K).d == 2 * 2147483647
+        for text in ["2^2147483648*x", "(x^3-x^3+y)^02147483648", f"x^{zeros}2147483648"]:
+            with pytest.raises(BudgetError, match=r"2\^31"):
+                parse_form(text, K)
+        with pytest.raises(ParseError, match="variable index 13 exceeds n=2"):
+            parse_form(f"x1*x{zeros}13", K, n=2)
+        with pytest.raises(ParseError, match="variable indices start at x1"):
+            parse_form(f"x1*x{zeros}", K)
 
     def test_minus_and_implicit_product(self):
         K = FieldSpec(7)
@@ -979,3 +991,83 @@ class TestPowerTable:
         stored = low[4][2]
         assert all(sq is not stored for _, _, sq, _ in low[5:])
         assert [len(t) for t in stored] == [4, 7, 13, 24]
+
+
+class TestDegreeBound:
+    """f^N has degree d N, and every monomial of degree above n (p^e - 1)
+    has a component >= p^e: a bounded ladder step past that bound empties
+    the residue without a product."""
+
+    # (p, k, n, d, depths)
+    CASES = [(2, 1, 2, 3, (1, 2, 3)), (3, 1, 2, 5, (1, 2)), (5, 1, 2, 4, (1, 2)),
+             (7, 1, 2, 3, (1, 2)), (2, 2, 2, 3, (1, 2)), (3, 2, 2, 4, (1, 2)),
+             (2, 1, 3, 3, (1, 2, 3)), (3, 1, 3, 4, (1, 2)), (5, 1, 3, 2, (1,)),
+             (2, 2, 3, 3, (1, 2)), (3, 2, 3, 2, (1,)), (7, 1, 3, 4, (1,))]
+
+    def test_boundary_matches_full_expansion_without_products(self, monkeypatch):
+        # every N with |d N - n (p^e - 1)| <= d: pow_mod_frobenius is the
+        # full expansion (an unbounded ladder) cut to the window, and a step
+        # decided by degree calls neither _window, _pow nor _mul
+        calls = {"_mul": 0, "_pow": 0, "_window": 0}
+        for name, owner in [("_mul", forms), ("_pow", forms), ("_window", forms.ResidueLadder)]:
+            def counting(*args, _real=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        rise, decided = forms.ResidueLadder.rise, []
+
+        def checked_rise(ladder, c):
+            before = dict(calls)
+            rise(ladder, c)
+            if ladder.mask and ladder.deg > ladder.n * (ladder.p ** ladder.depth - 1):
+                assert ladder.terms == {} and calls == before
+                decided.append(c)
+
+        monkeypatch.setattr(forms.ResidueLadder, "rise", checked_rise)
+        rng = random.Random(26)
+        for p, k, n, d, depths in self.CASES:
+            f = random_form(FieldSpec(p, k), n, d, rng)
+            for e in depths:
+                bound = n * (p ** e - 1)
+                for N in range(max(1, -(-(bound - d) // d)), (bound + d) // d + 1):
+                    full = _form_pow(f, N).terms
+                    want = {w: c for w, c in full.items() if max(w) < p ** e}
+                    case = (p, k, f.as_text(), N, e)
+                    assert pow_mod_frobenius(f, N, e) == want, case
+                    assert in_frobenius_power(f, N, e) == (not want), case
+                    if d * N > bound:
+                        assert not want, case
+        assert len(decided) > 40 and any(decided)
+
+    def test_ladder_degree_is_d_times_n(self):
+        # rise_outside adds its digit's degree as rise does, so a rise after
+        # nu's walk (the walk's last depth, then every digit) holds deg = d N
+        # and the residue pow_mod_frobenius builds on a fresh ladder
+        rng = random.Random(27)
+        for p, k, n, d, depths in self.CASES:
+            f = random_form(FieldSpec(p, k), n, d, rng)
+            e = max(depths)
+            for c in range(p):
+                ladder, N = forms.ResidueLadder(f, 0, max(p ** e, d)), 0
+                for _ in range(e - 1):
+                    N = p * N + ladder.rise_outside()
+                    assert ladder.deg == d * N
+                ladder.rise(c)
+                N = p * N + c
+                assert ladder.deg == d * N
+                assert ladder.residue() == pow_mod_frobenius(f, N, e), (p, k, f.as_text(), N, e)
+
+    def test_degree_decided_step_needs_no_budget(self, monkeypatch):
+        # 2 * 23^2 = 1 (mod 7), so the truncation walk's step to L = 2,
+        # N_2 = 151, is decided by degree: 7 * 151 = 1057 > 2 * (23^2 - 1).
+        # Powering f to f^13 there, as that step would without the degree
+        # bound, needs more than 40 terms; the walk needs no more than 40
+        f = parse_form("x^7+x*y^6+y^7", FieldSpec(23))
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 40)
+        res = fpt_general(f)
+        assert (res.value, res.method, res.L) == (Q(151, 529), "truncation-candidate", 2)
+        assert [tuple(c) for c in res.certificates] == [(6, 1, False), (151, 2, True)]
+        add, window = forms.ResidueLadder(f, 2, 23 ** 2)._window()
+        with pytest.raises(BudgetError):
+            forms._pow(window, 13, add, 1 << 10 | 1 << 21, f.field)

@@ -1,13 +1,18 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
+from generic_oracle import generic_nu, packs
 
 from fptlib import (
+    FieldSpec,
     ValidationError,
     check_keylemma_condition,
     generic_fpt,
     generic_fpt_binary,
     min_e_two_p_pow,
+    nu,
+    random_form,
     sample_max_fpt,
 )
 from fptlib.ratbase import is_prime, trunc
@@ -64,6 +69,47 @@ class TestGenericFormula:
                     if rep.L > 1:
                         assert check_keylemma_condition(2, d, p, rep.L - 1)
                     assert not check_keylemma_condition(2, d, p, rep.L)
+
+
+class TestGenericOracle:
+    """generic_fpt and the engine's nu against tests/generic_oracle.py, which
+    reads nu of the generic form off a bin packing without fptlib."""
+
+    def test_generic_fpt_is_the_packing_threshold(self):
+        # nu_gen(e) = ceil(g p^e) - 1 is the numerator of the non-terminating
+        # truncation of the generic threshold g at e, and the degree bound
+        # holds: 5,980 cases, n = 2..6, d = n+1..30, p < 30, e <= 5, p^e <= 10^6
+        cases = 0
+        for p in filter(is_prime, range(2, 30)):
+            e = max(t for t in range(1, 6) if p ** t <= 10 ** 6)
+            for n in range(2, 7):
+                for d in range(n + 1, 31):
+                    g = generic_fpt(n, d, p).value
+                    for t, v in enumerate(generic_nu(n, d, p, e), 1):
+                        assert v == trunc(g, p, t).numer, (n, d, p, t)
+                        assert v <= n * (p ** t - 1) // d, (n, d, p, t)
+                        cases += 1
+        assert cases == 5980
+        # the bins count, not only the total size: a binary cubic over F_2
+        # has f^2 = f^[2] in (x^4, y^4), three items of size 2 in two bins of 3
+        assert not packs([1, 0], 2, 3, 2) and packs([1, 0], 3, 3, 2)
+
+    def test_engine_nu_never_exceeds_the_generic_nu(self):
+        # random forms, n = 2..4, over F_2 to F_9: nu(e) <= nu_gen(e), and
+        # most forms attain it
+        rng = random.Random(8)
+        spaces = [(2, 2, 2, 5, 3), (3, 1, 2, 4, 3), (5, 1, 2, 3, 2), (7, 1, 2, 5, 2),
+                  (3, 2, 2, 4, 2), (2, 3, 2, 3, 2), (2, 1, 3, 3, 3), (3, 1, 3, 4, 2),
+                  (5, 1, 3, 2, 2), (2, 2, 3, 3, 2), (3, 1, 4, 2, 2), (2, 1, 4, 3, 2)]
+        forms = attained = 0
+        for p, k, n, d, e in spaces:
+            bound = generic_nu(n, d, p, e)[-1]
+            for _ in range(8):
+                v = nu(random_form(FieldSpec(p, k), n, d, rng), e)
+                assert v <= bound, (p, k, n, d, e, v, bound)
+                forms += 1
+                attained += v == bound
+        assert attained >= forms * 3 // 4, (attained, forms)
 
 
 class TestKeylemmaCondition:

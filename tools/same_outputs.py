@@ -21,8 +21,8 @@ products keeps its outputs.
 With ``--cli FILE`` each line of FILE is one ``fptlib`` argument list, split
 as a shell would (``#`` starts a comment), run as ``python -m fptlib.cli`` in
 both trees with that tree's ``src`` on the path.  Each case is reported same
-or DIFFERENT on its stdout, stderr and exit code, then CLI SAME or CLI
-DIFFERENT, and any difference makes the exit status 1.  ``--seeds`` and
+or DIFFERENT on its stdout, stderr and exit code (a case longer than 160
+characters is shown cut), then CLI SAME or CLI DIFFERENT, and any difference makes the exit status 1.  ``--seeds`` and
 ``--cli`` can be given together; at least one is needed.  Uses the standard
 library only.
 """
@@ -127,9 +127,12 @@ def compare_cli(cases: list[list[str]], base: list, change: list) -> tuple[list[
     for argv, (b_code, b_out, b_err), (c_code, c_out, c_err) in zip(cases, base, change):
         same = (b_code, b_out, b_err) == (c_code, c_out, c_err)
         differ |= not same
+        case = shlex.join(argv)
+        if len(case) > 160:
+            case = f"{case[:150]}... ({len(case):,} characters)"
         lines.append(f"  {'same' if same else 'DIFFERENT':9}  exit {b_code} -> {c_code}"
                      f"  stdout {b_out[:12]} -> {c_out[:12]}  stderr {b_err[:12]} -> {c_err[:12]}"
-                     f"  {shlex.join(argv)}")
+                     f"  {case}")
     return lines, differ
 
 
