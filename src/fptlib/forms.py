@@ -32,12 +32,14 @@ packs into sum a_i << s*i, with s bits per variable and a guard bit
 G = 2^(s-1) at least both the deepest bound p^e and deg f, so that no field
 carries into the next.  A product w leaves the window (some a_i >= bound)
 exactly when (w + sum (G - bound) << s*i) & sum G << s*i is nonzero, and
-Frobenius on exponents is w * p.  Over F_p the product multiplies, adds and
-reduces each coefficient pair mod p with plain integer arithmetic, no method
-call; over F_{p^k}, k > 1, each pair goes through FieldSpec.muli and addi.
-Either way a sum that vanishes leaves the dict at once, more than
-_WINDOW_BUDGET terms after a row is refused, and so is a product of more
-than _WORK_BUDGET coefficient pairs, before it starts.
+Frobenius on exponents is w * p.  One product, _mul, also adds into a dict
+it is given, so every sum (the parser's, substitute_linear's, the
+perfect-power root's) is a product by a monomial.  Over F_p it multiplies,
+adds and reduces each coefficient pair mod p as plain integers; over
+F_{p^k}, k > 1, each pair goes through FieldSpec.muli and addi.  A sum that
+vanishes leaves the dict at once; a dict of more than _WINDOW_BUDGET terms
+after a row is refused, sum or product, and so is a product of more than
+_WORK_BUDGET coefficient pairs, before it starts.
 
 The text parser splits its input once into the tokens of _TOKEN, so
 whitespace only separates tokens, and evaluates them by recursive descent on
@@ -215,14 +217,16 @@ def _unpack(w: int, n: int, s: int) -> tuple:
     return tuple((w >> s * i) & low for i in range(n))
 
 
-def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
-    """A*B without the terms whose packed exponent w has (w + add) & mask.
+def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec, out: dict | None = None) -> dict:
+    """out + A*B, without the terms whose packed exponent w has (w + add) & mask.
 
-    Coefficients are nonzero on input, so a first product never vanishes; a
-    sum that vanishes is deleted at once and re-inserted if a later pair
-    reaches it.  Raises BudgetError before any pair when len(A) * len(B)
-    exceeds _WORK_BUDGET, and once the product holds more than
-    _WINDOW_BUDGET terms after a row of A.
+    The sum is made in ``out`` (never A or B) or, when it is None, in a new
+    dict, and returned; out += c x^t A is _mul({t: c}, A, 0, 0, F, out).  New
+    keys come in the order of A's rows, each in B's order, and never hold 0,
+    as inputs are nonzero; a sum that vanishes is deleted at once and
+    re-inserted if a later pair reaches it.  Raises BudgetError before any
+    pair when len(A) * len(B) exceeds _WORK_BUDGET, and once ``out`` holds
+    more than _WINDOW_BUDGET terms after a row of A, sum or product.
 
     Over F_p each pair is plain integer arithmetic, c1*c2 added and reduced
     mod p inline; over F_{p^k}, k > 1, it goes through F.muli and F.addi.
@@ -232,7 +236,7 @@ def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
     if len(A) * len(B) > _WORK_BUDGET:
         raise BudgetError(f"a product of {len(A)} by {len(B)} terms exceeds the budget of "
                           f"{_WORK_BUDGET} coefficient pairs", len(A) * len(B), _WORK_BUDGET)
-    out: dict = {}
+    out = {} if out is None else out
     get = out.get
     if F.k > 1:
         mul, plus = F.muli, F.addi
@@ -272,29 +276,6 @@ def _mul(A: dict, B: dict, add: int, mask: int, F: FieldSpec) -> dict:
 def _window_error(live: int) -> BudgetError:
     return BudgetError(f"a residue exceeds the budget of {_WINDOW_BUDGET} terms; "
                        "ask for a shallower depth", live, _WINDOW_BUDGET)
-
-
-def _addmul(out: dict, A: dict, c: int, shift: int, F: FieldSpec) -> None:
-    """out += c x^shift A in place, for c nonzero, dropping sums that vanish."""
-    get = out.get
-    if F.k == 1:
-        p = F.p
-        for w, a in A.items():
-            w += shift
-            v = (get(w, 0) + c * a) % p
-            if v:
-                out[w] = v
-            else:
-                del out[w]
-        return
-    mul, add = F.muli, F.addi
-    for w, a in A.items():
-        w += shift
-        v = add(get(w, 0), mul(c, a))
-        if v:
-            out[w] = v
-        else:
-            del out[w]
 
 
 def _pow(A: dict, c: int, add: int, mask: int, F: FieldSpec,
@@ -445,7 +426,9 @@ def coeff_of_power(f: HomForm, N: int, j: int):
     """Coefficient of x^(dN-j) y^j in f^N (binary forms; full expansion)."""
     if f.n != 2:
         raise ValidationError("coeff_of_power requires a binary form")
-    if N < 0 or not 0 <= j <= f.d * N:
+    if N < 0:
+        raise ValidationError("exponent must be non-negative")
+    if not 0 <= j <= f.d * N:
         raise ValidationError(f"index j={j} out of range [0, {f.d * N}]")
     lad = ResidueLadder(f, 0, f.d * N + 1, bounded=False).climb(N)
     return GFElem(f.field, lad.terms.get(_pack((f.d * N - j, j), lad.s), 0))
@@ -543,7 +526,7 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
             u = mul(u, v)
             b = (comb(i, j) if i < m else -comb(i, j)) % p
             if b:
-                _addmul(P[i], P[i - j], mul(b, u), j * t, F)
+                _mul({j * t: mul(b, u)}, P[i - j], 0, 0, F, P[i])
         size += len(P[i])
         if size > _WINDOW_BUDGET:
             raise BudgetError(f"the powers of a candidate root exceed the budget of "
@@ -566,8 +549,7 @@ def _mth_root(H: dict, m: int, n: int, s: int, F: FieldSpec) -> dict | None:
             grow(m, t, v)
             last = (t, v)
         else:
-            R = dict(H)
-            _addmul(R, _pow(G, m, 0, 0, F), p - 1, 0, F)
+            R = _mul({0: p - 1}, _pow(G, m, 0, 0, F), 0, 0, F, dict(H))
     return G
 
 
@@ -645,6 +627,8 @@ def _det(field: FieldSpec, rows: list[list[int]]) -> int:
 def substitute_linear(f: HomForm, T) -> HomForm:
     """Compose f with the substitution x_i -> sum_j T[i][j] x_j (T invertible)."""
     F, n = f.field, f.n
+    if len(T) != n or any(len(row) != n for row in T):
+        raise ValidationError(f"substitution matrix must be {n} x {n}")
     rows = [[F.encode(T[i][j]) for j in range(n)] for i in range(n)]
     if _det(F, rows) == 0:
         raise ValidationError("substitution matrix is singular")
@@ -654,9 +638,9 @@ def substitute_linear(f: HomForm, T) -> HomForm:
     for exps, c in f.terms.items():
         term = {0: 1}
         for i, a in enumerate(exps):
-            for _ in range(a):
-                term = _mul(term, linear[i], 0, 0, F)
-        _addmul(out, term, c, 0, F)
+            if a:
+                term = _mul(term, _pow(linear[i], a, 0, 0, F), 0, 0, F)
+        _mul({0: c}, term, 0, 0, F, out)
     return HomForm._of(F, n, f.d, {_unpack(w, n, s): c for w, c in out.items()})
 
 
@@ -731,7 +715,7 @@ class _Parser:
         if ch in ("+", "-"):
             self.take()
         while True:
-            _addmul(acc, self.term(), F.negi(1) if ch == "-" else 1, 0, F)
+            _mul({0: F.negi(1) if ch == "-" else 1}, self.term(), 0, 0, F, acc)
             ch = self.peek()
             if ch not in ("+", "-"):
                 return acc

@@ -152,6 +152,12 @@ class TestCoeffOfPower:
         with pytest.raises(ValidationError):
             coeff_of_power(f, 2, 11)
 
+    def test_negative_exponent_refused(self):
+        f = parse_form("x^5+y^5", FieldSpec(7))
+        for j in (0, 3):
+            with pytest.raises(ValidationError, match="^exponent must be non-negative$"):
+                coeff_of_power(f, -3, j)
+
     def test_small_N_generic_coefficients_nonzero(self):
         # for N < p the coefficient of x^(dN-j) y^j in f^N is nonzero as a
         # function of the coefficients of f: some sample realizes each index
@@ -229,8 +235,9 @@ def _naive_mul_terms(K, A, B):
 
 
 class TestResidueProduct:
-    """forms._mul and forms._addmul against one GFElem product and sum per
-    coefficient pair on exponent tuples, over F_2, F_13, F_65537 and F_9."""
+    """forms._mul, alone and adding into a dict, against one GFElem product
+    and sum per coefficient pair on exponent tuples, over F_2, F_13, F_65537
+    and F_9."""
 
     FIELDS = {pk: FieldSpec(*pk) for pk in [(2, 1), (13, 1), (65537, 1), (3, 2)]}
     S = 8                       # bits per variable; exponents stay below the guard 2^7
@@ -274,11 +281,12 @@ class TestResidueProduct:
         return draw_operands()
 
     @staticmethod
-    def per_pair(K, A, B, bound, budget):
-        """A*B on exponent tuples, one GFElem product and sum per pair and rows
-        in A's order, without the monomials with a component >= bound; or
-        ("budget", live) once more than ``budget`` terms are live after a row."""
-        out = {}
+    def per_pair(K, A, B, bound, budget, start=None):
+        """start + A*B on exponent tuples, one GFElem product and sum per pair
+        and rows in A's order, without the monomials of A*B with a component
+        >= bound; or ("budget", live) once more than ``budget`` terms are
+        live after a row."""
+        out = dict(start or {})
         for e1, c1 in A.items():
             for e2, c2 in B.items():
                 w = tuple(a + b for a, b in zip(e1, e2))
@@ -319,34 +327,54 @@ class TestResidueProduct:
 
         check()
 
-    def test_addmul_matches_per_pair_reference(self):
+    def test_mul_into_out_matches_per_pair_reference(self):
         from hypothesis import given, settings, strategies as st
 
-        from fptlib import forms
-
-        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @given(self.operands(), st.data())
         def check(operands, data):
-            K, n, out, A, _ = operands
-            c = GFElem(K, data.draw(st.integers(1, K.q - 1)))
-            shift = data.draw(st.tuples(*[st.integers(0, 3)] * n))
-            moved = {tuple(map(sum, zip(e, shift))): c * a for e, a in A.items()}
-            if moved and data.draw(st.booleans()):
-                # out already holds -c x^shift a for one term of A: that sum vanishes
-                w, v = next(iter(moved.items()))
-                out = {**out, w: -v}
-            want = dict(out)
-            for w, v in moved.items():
-                s = want.get(w, K.zero()) + v
-                if s:
-                    want[w] = s
+            # out + A*B in place; A is often one term c x^t, as in a sum
+            K, n, A, B, bound = operands
+            exps = st.tuples(*[st.integers(0, 5)] * n)
+            elem = st.integers(1, K.q - 1).map(lambda c: GFElem(K, c))
+            if data.draw(st.booleans()):
+                A = {data.draw(exps): data.draw(elem)}
+            start = data.draw(st.dictionaries(exps, elem, max_size=10))
+            product = self.per_pair(K, A, B, bound, None)
+            if product and data.draw(st.booleans()):
+                # out already holds minus one term of A*B: that sum vanishes
+                w, v = next(iter(product.items()))
+                start = {**start, w: -v}
+            budget = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+            want = self.per_pair(K, A, B, bound, budget, start)
+            A, B, out = self.pack(A), self.pack(B), self.pack(start)
+            before = list(A.items()), list(B.items())
+            with pytest.MonkeyPatch.context() as mp:
+                if budget is not None:
+                    mp.setattr(forms, "_WINDOW_BUDGET", budget)
+                try:
+                    got = forms._mul(A, B, *self.window(n, bound), K, out)
+                except BudgetError as err:
+                    assert want == ("budget", err.required)
+                    assert err.budget == budget
                 else:
-                    want.pop(w, None)
-            got = self.pack(out)
-            forms._addmul(got, self.pack(A), c.enc, self.key(shift), K)
-            assert list(got.items()) == list(self.pack(want).items())
+                    assert got is out
+                    assert list(got.items()) == list(self.pack(want).items())
+            assert (list(A.items()), list(B.items())) == before
 
         check()
+
+    def test_sum_is_held_to_the_window_budget(self, monkeypatch):
+        # the parser's sum of five terms is refused once it holds more than
+        # the budget after a term, and parses under a budget of five
+        text, K = "x^4+x^3*y+x^2*y^2+x*y^3+y^4", FieldSpec(5)
+        for budget in (3, 4):
+            monkeypatch.setattr(forms, "_WINDOW_BUDGET", budget)
+            with pytest.raises(BudgetError) as err:
+                parse_form(text, K)
+            assert (err.value.required, err.value.budget) == (budget + 1, budget)
+        monkeypatch.setattr(forms, "_WINDOW_BUDGET", 5)
+        assert len(parse_form(text, K).terms) == 5
 
     @pytest.mark.parametrize("pk", sorted(FIELDS))
     def test_truncated_product_cancels_to_zero(self, pk):
@@ -538,6 +566,16 @@ class TestSubstitution:
         K = FieldSpec(5)
         with pytest.raises(ValidationError):
             substitute_linear(parse_form("x*y", K), [[1, 1], [2, 2]])
+
+    @pytest.mark.parametrize("T", [[[1]], [[1, 0], [0]], [[1], [0, 1]], [[1, 0, 0], [0, 1, 0]],
+                                   [[1, 0], [0, 1, 0]], [[1, 0]], [[1, 0], [0, 1], [0, 0]]],
+                             ids=["one-by-one", "short-row", "short-first-row", "long-rows",
+                                  "long-row", "one-row", "three-rows"])
+    def test_matrix_shape_checked(self, T):
+        # short rows used to end in an IndexError, long rows lost their extra entries
+        f = parse_form("x^2*y+y^3", FieldSpec(5))
+        with pytest.raises(ValidationError, match="^substitution matrix must be 2 x 2$"):
+            substitute_linear(f, T)
 
 
 class TestCoefficientConvention:

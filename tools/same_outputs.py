@@ -11,7 +11,8 @@ tree's ``fptbench/inputs.py`` and each operation is run by its
 ``fptbench/workloads.py``, which are imported, never edited.  For every
 (workload, seed) the child reports the sha256 of the ``to_dict()`` of each
 operation (or of the error it raised), and how many ``forms._mul`` calls and
-coefficient pairs (len(A) * len(B) per call) the pass made.  Both sides are
+coefficient pairs (len(A) * len(B) per call) the pass made; a sum accumulated
+into a dict by ``_mul`` counts as a call and its pairs too.  Both sides are
 printed with two verdicts: OUTPUTS, SAME or DIFFERENT, on the hashes and the
 number of raised errors, naming the first operation whose output differs;
 and PRODUCTS, the change in ``_mul`` calls and pairs in percent.  The exit
@@ -66,10 +67,10 @@ def child(tree: Path, workloads: list[str], seeds: list[int]) -> dict:
     counts = [0, 0]
     mul = forms._mul
 
-    def counting_mul(A, B, *args):
+    def counting_mul(A, B, *args, **kwargs):
         counts[0] += 1
         counts[1] += len(A) * len(B)
-        return mul(A, B, *args)
+        return mul(A, B, *args, **kwargs)
 
     forms._mul = counting_mul
     out = {}
